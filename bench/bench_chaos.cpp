@@ -15,8 +15,8 @@
 // identical to the serial unrecorded run (threads and recording both cost
 // nothing).
 // Part (d): the zero-intensity grid points must be bit-identical to the
-// healthy SimulateScheduledServing loop (the fault layer costs nothing
-// when off).
+// scheduled-serving loop with its fault-tolerance layer off on an
+// unwrapped fleet (the fault layer costs nothing when off).
 // Part (e): the recorded event log must reconcile exactly with the
 // blessed report's counters (every terminal accounted, no eviction).
 // Emits BENCH_chaos.json alongside the table.
@@ -28,8 +28,8 @@
 #include "obs/event_log.hpp"
 #include "sched/chaos.hpp"
 #include "sched/fleet.hpp"
+#include "sched/ft_scheduler.hpp"
 #include "sched/policy.hpp"
-#include "sched/scheduler.hpp"
 
 using namespace microrec;
 
@@ -140,9 +140,9 @@ int main() {
   load.seed = config.seed;
   load.sizes = config.sizes;
   const auto stream = sched::GenerateLoad(load);
-  sched::SchedOptions base_options;
-  base_options.sla_ns = config.sla_ns;
-  base_options.slo_objective = config.slo_objective;
+  sched::FtOptions healthy;  // fault-tolerance layer off
+  healthy.base.sla_ns = config.sla_ns;
+  healthy.base.slo_objective = config.slo_objective;
   bool zero_identity = true;
   const std::pair<std::size_t, std::size_t> zero_checks[] = {
       {sched::kChaosStaticFpga, sched::kFleetFpga},
@@ -159,7 +159,8 @@ int main() {
             ? sched::MakeStaticPolicy(static_backend, "static:fpga")
             : sched::MakeQueueDepthPolicy();
     const sched::SchedReport base =
-        sched::SimulateScheduledServing(stream, fleet, *policy, base_options);
+        sched::SimulateFaultTolerantServing(stream, fleet, *policy, healthy)
+            .base;
     zero_identity =
         zero_identity &&
         SameBaseReport(base,

@@ -2,12 +2,16 @@
 // appendix with the serving simulators: how many devices and dollars does
 // a target traffic level need, and what latency does each fleet deliver?
 #include <cstdio>
+#include <memory>
 
 #include "bench_util.hpp"
 #include "common/table_printer.hpp"
 #include "core/microrec.hpp"
 #include "cpu/paper_baseline.hpp"
-#include "serving/hybrid.hpp"
+#include "sched/backends.hpp"
+#include "sched/ft_scheduler.hpp"
+#include "sched/load_gen.hpp"
+#include "sched/policy.hpp"
 #include "serving/scaleout.hpp"
 #include "serving/serving_sim.hpp"
 #include "workload/model_zoo.hpp"
@@ -69,40 +73,65 @@ int main() {
   {
     const double fpga_capacity =
         kNanosPerSecond / engine.timing().initiation_interval_ns;
-    const auto arrivals = PoissonArrivals(1.4 * fpga_capacity, 100'000, 21);
+    // Poisson: bit-identical to PoissonArrivals(rate, 100'000, 21).
+    sched::LoadGenConfig load;
+    load.rate_qps = 1.4 * fpga_capacity;
+    load.num_queries = 100'000;
+    load.seed = 21;
+    const auto queries = sched::GenerateLoad(load);
 
-    HybridFleetConfig config;
-    config.fpga_replicas = 1;
-    config.fpga_item_latency_ns = engine.ItemLatency();
-    config.fpga_initiation_interval_ns =
-        engine.timing().initiation_interval_ns;
-    config.cpu_servers = 5;
-    config.cpu_max_batch = 256;
-    config.cpu_batch_timeout_ns = Milliseconds(5);
-    config.cpu_batch_latency = [](std::uint64_t b) {
-      return Milliseconds(3.0) + static_cast<double>(b) * Microseconds(12.0);
+    // One FPGA pipeline, plus `cpu_servers` batched CPU servers (3 ms +
+    // 12 us per item per batch) that take the queries arriving while the
+    // FPGA queue is over 1 ms deep.
+    struct HybridRun {
+      std::uint64_t fpga = 0;
+      std::uint64_t cpu = 0;
+      ServingReport overall;
     };
-    config.spill_threshold_ns = Milliseconds(1);
-
-    const auto hybrid = SimulateHybridFleet(arrivals, config, Milliseconds(30));
-    HybridFleetConfig fpga_only = config;
-    fpga_only.cpu_servers = 0;
-    const auto alone = SimulateHybridFleet(arrivals, fpga_only, Milliseconds(30));
+    const auto run = [&](std::uint32_t cpu_servers) {
+      std::vector<std::unique_ptr<sched::Backend>> fleet;
+      sched::PipelineBackendConfig fpga;
+      fpga.item_latency_ns = engine.ItemLatency();
+      fpga.initiation_interval_ns = engine.timing().initiation_interval_ns;
+      fleet.push_back(std::make_unique<sched::PipelineBackend>(fpga));
+      if (cpu_servers > 0) {
+        sched::CpuBackendConfig cpu;
+        cpu.servers = cpu_servers;
+        cpu.max_batch = 256;
+        cpu.batch_timeout_ns = Milliseconds(5);
+        cpu.fixed_overhead_ns = Milliseconds(3.0);
+        cpu.per_item_ns = Microseconds(12.0);
+        fleet.push_back(std::make_unique<sched::CpuBatchedBackend>(cpu));
+      }
+      auto policy = sched::MakeSpillPolicy(Milliseconds(1));
+      sched::FtOptions options;
+      options.base.sla_ns = Milliseconds(30);
+      const sched::SchedReport report =
+          sched::SimulateFaultTolerantServing(queries, fleet, *policy, options)
+              .base;
+      HybridRun result;
+      result.fpga = report.usage[0].queries;
+      result.cpu = cpu_servers > 0 ? report.usage[1].queries : 0;
+      result.overall = report.serving;
+      return result;
+    };
+    const HybridRun hybrid = run(5);
+    const HybridRun alone = run(0);
 
     std::printf("\nHybrid scheduling at 1.4x one card's capacity "
                 "(1 FPGA + 5 CPU servers):\n");
     TablePrinter table({"Fleet", "FPGA queries", "CPU queries", "p50", "p99",
                         "SLA violations"});
     table.AddRow({"FPGA only (overloaded)",
-                  std::to_string(alone.fpga_queries),
-                  std::to_string(alone.cpu_queries),
+                  std::to_string(alone.fpga),
+                  std::to_string(alone.cpu),
                   FormatNanos(alone.overall.p50),
                   FormatNanos(alone.overall.p99),
                   TablePrinter::Num(100.0 * alone.overall.sla_violation_rate,
                                     1) + "%"});
     table.AddRow({"hybrid with CPU spill",
-                  std::to_string(hybrid.fpga_queries),
-                  std::to_string(hybrid.cpu_queries),
+                  std::to_string(hybrid.fpga),
+                  std::to_string(hybrid.cpu),
                   FormatNanos(hybrid.overall.p50),
                   FormatNanos(hybrid.overall.p99),
                   TablePrinter::Num(100.0 * hybrid.overall.sla_violation_rate,

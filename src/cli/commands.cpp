@@ -42,6 +42,23 @@ namespace microrec::cli {
 
 namespace {
 
+// The one place the CLI writes an output file. `option` names the flag in
+// the error (e.g. "--json"); on success prints "wrote <what> to <path>",
+// where an empty `what` stands for the byte count.
+Status WriteOutputFile(std::string_view option, const std::string& path,
+                       const std::string& content, std::ostream& out,
+                       std::string what = "") {
+  std::ofstream file(path);
+  if (!file) {
+    return Status::InvalidArgument("cannot open " + std::string(option) +
+                                   " file " + path);
+  }
+  file << content;
+  if (what.empty()) what = std::to_string(content.size()) + " bytes";
+  out << "wrote " << what << " to " << path << "\n";
+  return Status::Ok();
+}
+
 Status WriteFileOrStream(const ArgList& args, const std::string& content,
                          std::ostream& out) {
   const auto path = args.GetOption("out");
@@ -49,13 +66,22 @@ Status WriteFileOrStream(const ArgList& args, const std::string& content,
     out << content;
     return Status::Ok();
   }
-  std::ofstream file(*path);
-  if (!file) {
-    return Status::InvalidArgument("cannot open --out file " + *path);
+  return WriteOutputFile("--out", *path, content, out);
+}
+
+// Writes the --json report, if requested: `emit` writes one top-level
+// value through obs::JsonWriter.
+template <typename Emit>
+Status WriteJsonReport(const ArgList& args, Emit&& emit, std::ostream& out) {
+  const auto path = args.GetOption("json");
+  if (!path.has_value()) return Status::Ok();
+  std::ostringstream text;
+  {
+    obs::JsonWriter json(text);
+    emit(json);
   }
-  file << content;
-  out << "wrote " << content.size() << " bytes to " << *path << "\n";
-  return Status::Ok();
+  text << "\n";
+  return WriteOutputFile("--json", *path, text.str(), out, "JSON report");
 }
 
 StatusOr<std::string> ReadFile(const std::string& path) {
@@ -266,21 +292,6 @@ Status CmdSimulate(const ArgList& args, std::ostream& out) {
   return Status::Ok();
 }
 
-namespace {
-
-Status WriteNamedFile(const std::string& path, const std::string& content,
-                      std::ostream& out) {
-  std::ofstream file(path);
-  if (!file) {
-    return Status::InvalidArgument("cannot open output file " + path);
-  }
-  file << content;
-  out << "wrote " << content.size() << " bytes to " << path << "\n";
-  return Status::Ok();
-}
-
-}  // namespace
-
 Status CmdTrace(const ArgList& args, std::ostream& out) {
   MICROREC_RETURN_IF_ERROR(args.CheckAllowed(
       {"queries", "qps", "seed", "sample", "trace-out", "metrics-out",
@@ -385,16 +396,16 @@ Status CmdTrace(const ArgList& args, std::ostream& out) {
   const std::string prom_path =
       args.GetOption("prom-out").value_or("metrics.prom");
   MICROREC_RETURN_IF_ERROR(
-      WriteNamedFile(trace_path, tracer.ToChromeJson(), out));
+      WriteOutputFile("--trace-out", trace_path, tracer.ToChromeJson(), out));
   MICROREC_RETURN_IF_ERROR(
-      WriteNamedFile(metrics_path, registry.ToJson(), out));
+      WriteOutputFile("--metrics-out", metrics_path, registry.ToJson(), out));
   MICROREC_RETURN_IF_ERROR(
-      WriteNamedFile(prom_path, registry.ToPrometheus(), out));
+      WriteOutputFile("--prom-out", prom_path, registry.ToPrometheus(), out));
   if (timeline != nullptr) {
     const std::string timeline_path =
         args.GetOption("timeline-out").value_or("timeline.json");
-    MICROREC_RETURN_IF_ERROR(
-        WriteNamedFile(timeline_path, timeline->ToJson(), out));
+    MICROREC_RETURN_IF_ERROR(WriteOutputFile("--timeline-out", timeline_path,
+                                             timeline->ToJson(), out));
   }
   return Status::Ok();
 }
@@ -469,11 +480,6 @@ Status CmdUpdateSweep(const ArgList& args, std::ostream& out) {
   out << "update_qps  p50_us  p99_us  stale_p50_us  stale_p99_us  "
          "interfered  migrations\n";
 
-  std::ostringstream json;
-  json << "{\n  \"command\": \"update-sweep\",\n  \"model\": \""
-       << model->name << "\",\n  \"qps\": " << sweep->qps
-       << ",\n  \"policy\": \"" << WritePolicyName(policy)
-       << "\",\n  \"records\": [\n";
   for (std::uint64_t k = 0; k < *points; ++k) {
     const UpdateServingReport& report = reports[k];
     char line[160];
@@ -485,23 +491,30 @@ Status CmdUpdateSweep(const ArgList& args, std::ostream& out) {
                   (unsigned long long)report.delayed_queries,
                   (unsigned long long)report.migrations);
     out << line;
-    json << "    {\"update_qps\": " << rates[k]
-         << ", \"p99_ns\": " << report.serving.p99
-         << ", \"staleness_p99_ns\": " << report.staleness_p99
-         << ", \"publishes\": " << report.publishes << "}"
-         << (k + 1 < *points ? "," : "") << "\n";
   }
-  json << "  ]\n}\n";
 
-  if (const auto path = args.GetOption("json")) {
-    std::ofstream file(*path);
-    if (!file) {
-      return Status::InvalidArgument("cannot open --json file " + *path);
-    }
-    file << json.str();
-    out << "wrote JSON report to " << *path << "\n";
-  }
-  return Status::Ok();
+  return WriteJsonReport(
+      args,
+      [&](obs::JsonWriter& json) {
+        json.BeginObject();
+        json.KV("command", "update-sweep");
+        json.KV("model", model->name);
+        json.KV("qps", sweep->qps);
+        json.KV("policy", WritePolicyName(policy));
+        json.Key("records");
+        json.BeginArray();
+        for (std::uint64_t k = 0; k < *points; ++k) {
+          json.BeginObject();
+          json.KV("update_qps", rates[k]);
+          json.KV("p99_ns", reports[k].serving.p99);
+          json.KV("staleness_p99_ns", reports[k].staleness_p99);
+          json.KV("publishes", reports[k].publishes);
+          json.EndObject();
+        }
+        json.EndArray();
+        json.EndObject();
+      },
+      out);
 }
 
 Status CmdFaultSweep(const ArgList& args, std::ostream& out) {
@@ -637,10 +650,6 @@ Status CmdFaultSweep(const ArgList& args, std::ostream& out) {
   out << "replicas  failed_ch  availability  shed%    p50_us    p99_us  "
          "alert_ms   budget%\n";
 
-  std::ostringstream json;
-  json << "{\n  \"command\": \"fault-sweep\",\n  \"model\": \"" << model->name
-       << "\",\n  \"qps\": " << sweep->qps << ",\n  \"records\": [\n";
-  bool first_record = true;
   for (std::size_t p = 0; p < grid.size(); ++p) {
     if (!results[p].status.ok()) return results[p].status;
     const std::uint32_t replication = cases[grid[p].case_index].replication;
@@ -662,29 +671,36 @@ Status CmdFaultSweep(const ArgList& args, std::ostream& out) {
                   report.serving.p99 / 1000.0, alert,
                   100.0 * slo.error_budget_remaining);
     out << line;
-    json << (first_record ? "" : ",\n") << "    {\"replication\": "
-         << replication << ", \"failed_channels\": " << k
-         << ", \"availability\": " << report.availability
-         << ", \"shed_rate\": " << report.shed_rate
-         << ", \"p50_ns\": " << report.serving.p50
-         << ", \"p99_ns\": " << report.serving.p99
-         << ", \"slo_alerted\": " << (slo.alerted ? "true" : "false")
-         << ", \"time_to_alert_ns\": " << slo.time_to_alert_ns
-         << ", \"error_budget_remaining\": " << slo.error_budget_remaining
-         << "}";
-    first_record = false;
   }
-  json << "\n  ]\n}\n";
 
-  if (const auto path = args.GetOption("json")) {
-    std::ofstream file(*path);
-    if (!file) {
-      return Status::InvalidArgument("cannot open --json file " + *path);
-    }
-    file << json.str();
-    out << "wrote JSON report to " << *path << "\n";
-  }
-  return Status::Ok();
+  return WriteJsonReport(
+      args,
+      [&](obs::JsonWriter& json) {
+        json.BeginObject();
+        json.KV("command", "fault-sweep");
+        json.KV("model", model->name);
+        json.KV("qps", sweep->qps);
+        json.Key("records");
+        json.BeginArray();
+        for (std::size_t p = 0; p < grid.size(); ++p) {
+          const DegradedServingReport& report = results[p].report;
+          const obs::SloReport& slo = results[p].slo;
+          json.BeginObject();
+          json.KV("replication", cases[grid[p].case_index].replication);
+          json.KV("failed_channels", grid[p].failed_channels);
+          json.KV("availability", report.availability);
+          json.KV("shed_rate", report.shed_rate);
+          json.KV("p50_ns", report.serving.p50);
+          json.KV("p99_ns", report.serving.p99);
+          json.KV("slo_alerted", slo.alerted);
+          json.KV("time_to_alert_ns", slo.time_to_alert_ns);
+          json.KV("error_budget_remaining", slo.error_budget_remaining);
+          json.EndObject();
+        }
+        json.EndArray();
+        json.EndObject();
+      },
+      out);
 }
 
 Status CmdScaleout(const ArgList& args, std::ostream& out) {
@@ -781,9 +797,6 @@ Status CmdScaleout(const ArgList& args, std::ostream& out) {
   out << "target_qps     cards  fleet         $/h     util%   p50_us  "
          "p99_us  sla_viol%\n";
 
-  std::ostringstream json;
-  json << "{\n  \"command\": \"scaleout\",\n  \"model\": \"" << model->name
-       << "\",\n  \"sla_us\": " << *sla_us << ",\n  \"records\": [\n";
   for (std::size_t p = 0; p < grid.size(); ++p) {
     if (!results[p].status.ok()) return results[p].status;
     const ScaleoutPoint& point = grid[p];
@@ -798,27 +811,34 @@ Status CmdScaleout(const ArgList& args, std::ostream& out) {
                   report.p50 / 1000.0, report.p99 / 1000.0,
                   100.0 * report.sla_violation_rate);
     out << line;
-    json << "    {\"target_qps\": " << point.target_qps
-         << ", \"devices\": " << point.devices
-         << ", \"underprovisioned\": "
-         << (point.underprovisioned ? "true" : "false")
-         << ", \"dollars_per_hour\": " << point.plan.dollars_per_hour
-         << ", \"p50_ns\": " << report.p50
-         << ", \"p99_ns\": " << report.p99
-         << ", \"sla_violation_rate\": " << report.sla_violation_rate << "}"
-         << (p + 1 < grid.size() ? "," : "") << "\n";
   }
-  json << "  ]\n}\n";
 
-  if (const auto path = args.GetOption("json")) {
-    std::ofstream file(*path);
-    if (!file) {
-      return Status::InvalidArgument("cannot open --json file " + *path);
-    }
-    file << json.str();
-    out << "wrote JSON report to " << *path << "\n";
-  }
-  return Status::Ok();
+  return WriteJsonReport(
+      args,
+      [&](obs::JsonWriter& json) {
+        json.BeginObject();
+        json.KV("command", "scaleout");
+        json.KV("model", model->name);
+        json.KV("sla_us", *sla_us);
+        json.Key("records");
+        json.BeginArray();
+        for (std::size_t p = 0; p < grid.size(); ++p) {
+          const ScaleoutPoint& point = grid[p];
+          const ServingReport& report = results[p].report;
+          json.BeginObject();
+          json.KV("target_qps", point.target_qps);
+          json.KV("devices", point.devices);
+          json.KV("underprovisioned", point.underprovisioned);
+          json.KV("dollars_per_hour", point.plan.dollars_per_hour);
+          json.KV("p50_ns", report.p50);
+          json.KV("p99_ns", report.p99);
+          json.KV("sla_violation_rate", report.sla_violation_rate);
+          json.EndObject();
+        }
+        json.EndArray();
+        json.EndObject();
+      },
+      out);
 }
 
 namespace {
@@ -883,14 +903,9 @@ Status WriteFlightRecorderOutputs(const ArgList& args,
                                   Nanoseconds sla_ns, double slo_objective,
                                   Nanoseconds span_ns, std::ostream& out) {
   if (const auto path = args.GetOption("record-events")) {
-    std::ofstream file(*path);
-    if (!file) {
-      return Status::InvalidArgument("cannot open --record-events file " +
-                                     *path);
-    }
-    file << log.ToJson();
-    out << "wrote " << log.size() << " recorded event(s) to " << *path
-        << "\n";
+    MICROREC_RETURN_IF_ERROR(WriteOutputFile(
+        "--record-events", *path, log.ToJson(), out,
+        std::to_string(log.size()) + " recorded event(s)"));
   }
   if (const auto path = args.GetOption("postmortem")) {
     const obs::SloSpec spec = obs::SloSpec::Default(
@@ -899,14 +914,10 @@ Status WriteFlightRecorderOutputs(const ArgList& args,
     obs::PostmortemReport postmortem =
         trigger.Trigger(spec, report.base.slo);
     postmortem.metrics = FtReportMetrics(report);
-    std::ofstream file(*path);
-    if (!file) {
-      return Status::InvalidArgument("cannot open --postmortem file " +
-                                     *path);
-    }
-    file << postmortem.ToJson();
-    out << "wrote postmortem (" << postmortem.alerts.size()
-        << " fired burn-rate rule(s)) to " << *path << "\n";
+    MICROREC_RETURN_IF_ERROR(WriteOutputFile(
+        "--postmortem", *path, postmortem.ToJson(), out,
+        "postmortem (" + std::to_string(postmortem.alerts.size()) +
+            " fired burn-rate rule(s))"));
   }
   return Status::Ok();
 }
@@ -936,6 +947,8 @@ Status CmdSchedSweep(const ArgList& args, std::ostream& out) {
   config.seed = sweep->seed;
   config.sla_ns = static_cast<double>(*sla_us) * 1000.0;
   config.threads = sweep->threads;
+  config.record_events = args.GetOption("record-events").has_value() ||
+                         args.GetOption("postmortem").has_value();
 
   const sched::SchedSweepResult result = sched::RunSchedSweep(config);
 
@@ -981,75 +994,70 @@ Status CmdSchedSweep(const ArgList& args, std::ostream& out) {
          "under bursty load: "
       << (result.slo_beats_best_static_any ? "YES" : "NO") << "\n";
 
-  if (const auto path = args.GetOption("json")) {
-    std::ofstream file(*path);
-    if (!file) {
-      return Status::InvalidArgument("cannot open --json file " + *path);
-    }
-    obs::JsonWriter json(file);
-    json.BeginObject();
-    json.KV("command", "sched-sweep");
-    json.KV("queries", sweep->queries);
-    json.KV("qps", sweep->qps);
-    json.KV("seed", sweep->seed);
-    json.KV("sla_us", *sla_us);
-    json.Key("records");
-    json.BeginArray();
-    for (const sched::SweepRecord& record : result.records) {
-      const sched::SchedReport& r = record.report;
-      json.BeginObject();
-      json.KV("process", record.process);
-      json.KV("policy", record.policy);
-      json.KV("offered", r.offered);
-      json.KV("served", r.served);
-      json.KV("availability", r.availability);
-      json.KV("p50_ns", r.serving.p50);
-      json.KV("p99_ns", r.serving.p99);
-      json.KV("mean_ns", r.serving.mean);
-      json.KV("slo_bad_fraction", r.slo.bad_fraction);
-      json.KV("slo_alerted", r.slo.alerted);
-      json.Key("backend_queries");
-      json.BeginObject();
-      for (const sched::BackendUsage& usage : r.usage) {
-        json.KV(usage.name, usage.queries);
-      }
-      json.EndObject();
-      json.EndObject();
-    }
-    json.EndArray();
-    json.Key("headlines");
-    json.BeginArray();
-    for (const sched::SweepHeadline& h : result.headlines) {
-      json.BeginObject();
-      json.KV("process", h.process);
-      json.KV("best_static", h.best_static);
-      json.KV("best_static_p99_ns", h.best_static_p99);
-      json.KV("slo_aware_p99_ns", h.slo_aware_p99);
-      json.KV("slo_beats_best_static", h.slo_beats_best_static);
-      json.EndObject();
-    }
-    json.EndArray();
-    json.KV("slo_beats_best_static_any", result.slo_beats_best_static_any);
-    json.EndObject();
-    file << "\n";
-    out << "wrote JSON report to " << *path << "\n";
-  }
+  MICROREC_RETURN_IF_ERROR(WriteJsonReport(
+      args,
+      [&](obs::JsonWriter& json) {
+        json.BeginObject();
+        json.KV("command", "sched-sweep");
+        json.KV("queries", sweep->queries);
+        json.KV("qps", sweep->qps);
+        json.KV("seed", sweep->seed);
+        json.KV("sla_us", *sla_us);
+        json.Key("records");
+        json.BeginArray();
+        for (const sched::SweepRecord& record : result.records) {
+          const sched::SchedReport& r = record.report;
+          json.BeginObject();
+          json.KV("process", record.process);
+          json.KV("policy", record.policy);
+          json.KV("offered", r.offered);
+          json.KV("served", r.served);
+          json.KV("availability", r.availability);
+          json.KV("p50_ns", r.serving.p50);
+          json.KV("p99_ns", r.serving.p99);
+          json.KV("mean_ns", r.serving.mean);
+          json.KV("slo_bad_fraction", r.slo.bad_fraction);
+          json.KV("slo_alerted", r.slo.alerted);
+          json.Key("backend_queries");
+          json.BeginObject();
+          for (const sched::BackendUsage& usage : r.usage) {
+            json.KV(usage.name, usage.queries);
+          }
+          json.EndObject();
+          json.EndObject();
+        }
+        json.EndArray();
+        json.Key("headlines");
+        json.BeginArray();
+        for (const sched::SweepHeadline& h : result.headlines) {
+          json.BeginObject();
+          json.KV("process", h.process);
+          json.KV("best_static", h.best_static);
+          json.KV("best_static_p99_ns", h.best_static_p99);
+          json.KV("slo_aware_p99_ns", h.slo_aware_p99);
+          json.KV("slo_beats_best_static", h.slo_beats_best_static);
+          json.EndObject();
+        }
+        json.EndArray();
+        json.KV("slo_beats_best_static_any", result.slo_beats_best_static_any);
+        json.EndObject();
+      },
+      out));
 
-  if (args.GetOption("record-events").has_value() ||
-      args.GetOption("postmortem").has_value()) {
-    // Re-run the flash-crowd x slo-aware point -- the grid's headline
-    // regime -- with the flight recorder attached; bit-identical to the
-    // grid's record for that point (test-gated).
-    obs::EventLog log;
-    const sched::FtSchedReport recorded = sched::RecordSchedSweepPoint(
-        config, /*process_index=*/2, sched::kPolicySloAware, log);
-    out << "flight recorder: flash-crowd x slo-aware, " << log.size()
-        << " event(s) recorded\n";
+  if (config.record_events) {
+    // The flash-crowd x slo-aware point, the grid's headline regime. Its
+    // fault-tolerance layer was off, so the FT counters are all zero.
+    const sched::SweepRecord& blessed =
+        result.records[sched::kRecordedGridPoint];
+    out << "flight recorder: " << blessed.process << " x " << blessed.policy
+        << ", " << blessed.events->size() << " event(s) recorded\n";
+    sched::FtSchedReport recorded;
+    recorded.base = blessed.report;
     const Nanoseconds span_ns =
         static_cast<double>(config.queries) / config.qps * kNanosPerSecond;
     MICROREC_RETURN_IF_ERROR(WriteFlightRecorderOutputs(
-        args, log, recorded, config.sla_ns, config.slo_objective, span_ns,
-        out));
+        args, *blessed.events, recorded, config.sla_ns, config.slo_objective,
+        span_ns, out));
   }
   return Status::Ok();
 }
@@ -1138,87 +1146,83 @@ Status CmdChaosSweep(const ArgList& args, std::ostream& out) {
          "recovers where a static cannot: "
       << (result.headline_win ? "YES" : "NO") << "\n";
 
-  if (const auto path = args.GetOption("json")) {
-    std::ofstream file(*path);
-    if (!file) {
-      return Status::InvalidArgument("cannot open --json file " + *path);
-    }
-    obs::JsonWriter json(file);
-    json.BeginObject();
-    json.KV("command", "chaos-sweep");
-    json.KV("queries", sweep->queries);
-    json.KV("qps", sweep->qps);
-    json.KV("seed", sweep->seed);
-    json.KV("fault_seed", fault->fault_seed);
-    json.KV("sla_us", *sla_us);
-    json.KV("intensity_max", config.intensity_max);
-    json.KV("intensity_points",
-            static_cast<std::uint64_t>(config.intensity_points));
-    json.Key("records");
-    json.BeginArray();
-    for (const sched::ChaosRecord& record : result.records) {
-      const sched::SchedReport& r = record.report.base;
-      json.BeginObject();
-      json.KV("intensity", record.intensity);
-      json.KV("policy", record.policy);
-      json.KV("offered", r.offered);
-      json.KV("served", r.served);
-      json.KV("availability", r.availability);
-      json.KV("p50_ns", r.serving.p50);
-      json.KV("p99_ns", r.serving.p99);
-      json.KV("goodput", 1.0 - r.slo.bad_fraction);
-      json.KV("timed_out", record.report.timed_out);
-      json.KV("retries", record.report.retries);
-      json.KV("hedges", record.report.hedges);
-      json.KV("hedge_wins", record.report.hedge_wins);
-      json.KV("cancelled_completions", record.report.cancelled_completions);
-      json.KV("breaker_opens", record.report.breaker_opens);
-      json.KV("breaker_sheds", record.report.breaker_sheds);
-      json.KV("forced_admits", record.report.forced_admits);
-      json.KV("all_recovered", record.recovery.all_recovered);
-      json.KV("worst_time_to_recover_ns",
-              record.recovery.worst_time_to_recover_ns);
-      json.Key("windows");
-      json.BeginArray();
-      for (const obs::WindowRecovery& w : record.recovery.windows) {
+  MICROREC_RETURN_IF_ERROR(WriteJsonReport(
+      args,
+      [&](obs::JsonWriter& json) {
         json.BeginObject();
-        json.KV("label", w.label);
-        json.KV("goodput_during", w.goodput_during);
-        json.KV("shed_rate_during", w.shed_rate_during);
-        json.KV("burn_during", w.burn_during);
-        json.KV("burn_after", w.burn_after);
-        json.KV("hedge_wins_during", w.hedge_wins_during);
-        json.KV("recovered", w.recovered);
-        json.KV("time_to_recover_ns", w.time_to_recover_ns);
+        json.KV("command", "chaos-sweep");
+        json.KV("queries", sweep->queries);
+        json.KV("qps", sweep->qps);
+        json.KV("seed", sweep->seed);
+        json.KV("fault_seed", fault->fault_seed);
+        json.KV("sla_us", *sla_us);
+        json.KV("intensity_max", config.intensity_max);
+        json.KV("intensity_points",
+                static_cast<std::uint64_t>(config.intensity_points));
+        json.Key("records");
+        json.BeginArray();
+        for (const sched::ChaosRecord& record : result.records) {
+          const sched::SchedReport& r = record.report.base;
+          json.BeginObject();
+          json.KV("intensity", record.intensity);
+          json.KV("policy", record.policy);
+          json.KV("offered", r.offered);
+          json.KV("served", r.served);
+          json.KV("availability", r.availability);
+          json.KV("p50_ns", r.serving.p50);
+          json.KV("p99_ns", r.serving.p99);
+          json.KV("goodput", 1.0 - r.slo.bad_fraction);
+          json.KV("timed_out", record.report.timed_out);
+          json.KV("retries", record.report.retries);
+          json.KV("hedges", record.report.hedges);
+          json.KV("hedge_wins", record.report.hedge_wins);
+          json.KV("cancelled_completions", record.report.cancelled_completions);
+          json.KV("breaker_opens", record.report.breaker_opens);
+          json.KV("breaker_sheds", record.report.breaker_sheds);
+          json.KV("forced_admits", record.report.forced_admits);
+          json.KV("all_recovered", record.recovery.all_recovered);
+          json.KV("worst_time_to_recover_ns",
+                  record.recovery.worst_time_to_recover_ns);
+          json.Key("windows");
+          json.BeginArray();
+          for (const obs::WindowRecovery& w : record.recovery.windows) {
+            json.BeginObject();
+            json.KV("label", w.label);
+            json.KV("goodput_during", w.goodput_during);
+            json.KV("shed_rate_during", w.shed_rate_during);
+            json.KV("burn_during", w.burn_during);
+            json.KV("burn_after", w.burn_after);
+            json.KV("hedge_wins_during", w.hedge_wins_during);
+            json.KV("recovered", w.recovered);
+            json.KV("time_to_recover_ns", w.time_to_recover_ns);
+            json.EndObject();
+          }
+          json.EndArray();
+          json.EndObject();
+        }
+        json.EndArray();
+        json.Key("headlines");
+        json.BeginArray();
+        for (const sched::ChaosHeadline& h : result.headlines) {
+          json.BeginObject();
+          json.KV("intensity", h.intensity);
+          json.KV("best_static", h.best_static);
+          json.KV("best_static_p99_ns", h.best_static_p99);
+          json.KV("best_static_goodput", h.best_static_goodput);
+          json.KV("ft_p99_ns", h.ft_p99);
+          json.KV("ft_goodput", h.ft_goodput);
+          json.KV("ft_beats_all_static_p99", h.ft_beats_all_static_p99);
+          json.KV("ft_beats_all_static_goodput", h.ft_beats_all_static_goodput);
+          json.KV("ft_recovered", h.ft_recovered);
+          json.KV("some_static_never_recovered", h.some_static_never_recovered);
+          json.KV("win", h.win);
+          json.EndObject();
+        }
+        json.EndArray();
+        json.KV("headline_win", result.headline_win);
         json.EndObject();
-      }
-      json.EndArray();
-      json.EndObject();
-    }
-    json.EndArray();
-    json.Key("headlines");
-    json.BeginArray();
-    for (const sched::ChaosHeadline& h : result.headlines) {
-      json.BeginObject();
-      json.KV("intensity", h.intensity);
-      json.KV("best_static", h.best_static);
-      json.KV("best_static_p99_ns", h.best_static_p99);
-      json.KV("best_static_goodput", h.best_static_goodput);
-      json.KV("ft_p99_ns", h.ft_p99);
-      json.KV("ft_goodput", h.ft_goodput);
-      json.KV("ft_beats_all_static_p99", h.ft_beats_all_static_p99);
-      json.KV("ft_beats_all_static_goodput", h.ft_beats_all_static_goodput);
-      json.KV("ft_recovered", h.ft_recovered);
-      json.KV("some_static_never_recovered", h.some_static_never_recovered);
-      json.KV("win", h.win);
-      json.EndObject();
-    }
-    json.EndArray();
-    json.KV("headline_win", result.headline_win);
-    json.EndObject();
-    file << "\n";
-    out << "wrote JSON report to " << *path << "\n";
-  }
+      },
+      out));
 
   if (config.record_events) {
     // The blessed point: highest intensity x breaker-retry-hedge.
@@ -1489,14 +1493,15 @@ Status CmdProfile(const ArgList& args, std::ostream& out) {
   out << report.ToText();
 
   const std::string json_path = args.GetOption("json").value_or("profile.json");
-  MICROREC_RETURN_IF_ERROR(WriteNamedFile(json_path, report.ToJson(), out));
+  MICROREC_RETURN_IF_ERROR(
+      WriteOutputFile("--json", json_path, report.ToJson(), out));
   if (const auto prom_path = args.GetOption("prom-out")) {
     obs::MetricsRegistry registry;
     report.ExportMetrics(registry);
     obs::prof::ProfileReport::ExportBatchLatency(profiler.batch_latency(),
                                                  registry);
-    MICROREC_RETURN_IF_ERROR(
-        WriteNamedFile(*prom_path, registry.ToPrometheus(), out));
+    MICROREC_RETURN_IF_ERROR(WriteOutputFile("--prom-out", *prom_path,
+                                             registry.ToPrometheus(), out));
   }
   return Status::Ok();
 }

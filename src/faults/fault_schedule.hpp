@@ -71,8 +71,8 @@ class FaultSchedule {
   bool ReplicaAlive(std::uint32_t replica, Nanoseconds now) const;
 
   /// End of the latest kDmaStall window covering `now`, or `now` itself
-  /// when the link is healthy (a valid LinkStallFn for host_interface).
-  /// Matches any target: the card has one host link.
+  /// when the link is healthy. Matches any target: the card has one host
+  /// link.
   Nanoseconds DmaStallEnd(Nanoseconds now) const;
 
   /// Target-keyed stall variant for schedules that drive several stallable

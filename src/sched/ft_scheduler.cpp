@@ -68,6 +68,16 @@ struct TaggedCompletion {
 
 }  // namespace
 
+std::string SchedReport::ToString() const {
+  std::ostringstream os;
+  os << policy << ": " << served << "/" << offered << " served"
+     << " | availability " << 100.0 * availability << "%"
+     << " | p99 " << FormatNanos(serving.p99)
+     << " | SLO bad " << 100.0 * slo.bad_fraction << "%"
+     << (slo.alerted ? " [ALERT]" : "");
+  return os.str();
+}
+
 std::string FtSchedReport::ToString() const {
   std::ostringstream os;
   os << base.ToString() << " | timed_out " << timed_out << " | retries "
@@ -281,7 +291,7 @@ FtSchedReport SimulateFaultTolerantServing(
     std::size_t pick = kNoPick;
     bool forced = false;
     if (unrestricted) {
-      // Exactly the base scheduler's path: the policy's pick is admitted
+      // The plain routing path: the policy's pick is admitted
       // unconditionally (a rejected admit is a shed).
       pick = policy.Route(q2, backends);
       MICROREC_CHECK(pick < n_backends);
@@ -598,7 +608,7 @@ FtSchedReport SimulateFaultTolerantServing(
     MICROREC_CHECK(s.terminal != Terminal::kPending);
   }
 
-  // ---- Report: identical arithmetic to SimulateScheduledServing --------
+  // ---- Report: percentile summary over served, SLO over all offered ----
   std::vector<Nanoseconds> served_arrivals;
   std::vector<Nanoseconds> served_completions;
   std::vector<obs::QueryOutcome> outcomes;

@@ -1,10 +1,12 @@
-// Fault-tolerant scheduled serving: the SimulateScheduledServing loop
-// rebuilt as a discrete-event simulation so queries can be re-admitted
-// after their arrival instant -- which is what deadlines, retries, and
-// hedges require -- while every backend still sees nondecreasing admit
-// times (its contract).
+// Scheduled serving: the one policy-routed serving loop. Queries from a
+// load stream are routed by a SchedulingPolicy over a Backend fleet, with
+// per-backend usage accounting and SLO evaluation. The loop is a
+// discrete-event simulation so queries can be re-admitted after their
+// arrival instant -- which is what deadlines, retries, and hedges require
+// -- while every backend still sees nondecreasing admit times (its
+// contract).
 //
-// On top of the base loop it layers, each independently switchable:
+// On top of plain routing it layers, each independently switchable:
 //
 //   * Circuit breakers (sched/health.hpp), one per backend, fed by
 //     deterministic health probes (a probe clock checks Accepting every
@@ -28,10 +30,11 @@
 //
 // Terminal accounting is exact: every offered query ends in exactly one
 // of {served, shed, timed_out} (the never-drop invariant, gated in
-// tests/chaos_test.cpp). With every feature disabled the event loop
-// replays SimulateScheduledServing's admission and feedback sequence
-// bit for bit (also test-gated), so the fault-tolerance layer costs
-// nothing when off.
+// tests/chaos_test.cpp). With every feature disabled -- a default
+// FtOptions with only `base` filled in -- each query is routed once at its
+// arrival and admitted to the policy's pick unconditionally (a rejected
+// admit is a shed): the plain multi-path scheduler the sched-sweep grid,
+// the hybrid CPU-spill fleet, and the zero-intensity chaos points run.
 #pragma once
 
 #include <cstdint>
@@ -43,10 +46,43 @@
 #include "faults/retry.hpp"
 #include "obs/event_log.hpp"
 #include "obs/slo.hpp"
+#include "sched/backend.hpp"
 #include "sched/health.hpp"
-#include "sched/scheduler.hpp"
+#include "sched/policy.hpp"
+#include "serving/serving_sim.hpp"
 
 namespace microrec::sched {
+
+struct SchedOptions {
+  /// Per-query latency SLA; also the SLO's latency threshold.
+  Nanoseconds sla_ns = 0.0;
+  /// Target good fraction for the burn-rate SLO evaluation.
+  double slo_objective = 0.99;
+};
+
+/// How much of the stream one backend absorbed.
+struct BackendUsage {
+  std::string name;
+  std::uint64_t queries = 0;
+  std::uint64_t items = 0;
+};
+
+struct SchedReport {
+  std::string policy;
+  /// Percentile summary over *served* queries (same arithmetic as every
+  /// other serving simulator; zeroed when everything was shed).
+  ServingReport serving;
+  std::uint64_t offered = 0;
+  std::uint64_t served = 0;
+  std::uint64_t shed = 0;
+  double availability = 1.0;  ///< served / offered
+  /// Burn-rate SLO over all offered queries (shed = bad), spec'd from
+  /// SchedOptions with the run span as the budget period.
+  obs::SloReport slo;
+  std::vector<BackendUsage> usage;  ///< fleet order
+
+  std::string ToString() const;
+};
 
 /// Hedged-request knobs. The hedge delay adapts: it is
 /// max(delay_scale * observed-latency-quantile, min_delay_ns), and no
@@ -98,9 +134,9 @@ struct FtOptions {
 };
 
 struct FtSchedReport {
-  /// The base scheduler's report shape, built with the identical
-  /// arithmetic. base.shed counts every unserved query; timed_out below
-  /// is the subset that was admitted but missed its deadline.
+  /// The routing report shared by every scheduled run. base.shed counts
+  /// every unserved query; timed_out below is the subset that was
+  /// admitted but missed its deadline.
   SchedReport base;
 
   std::uint64_t timed_out = 0;
@@ -121,9 +157,12 @@ struct FtSchedReport {
 };
 
 /// Runs the stream through the fleet under `policy` with the
-/// fault-tolerance layer of `options`. Same input contract as
-/// SimulateScheduledServing; deterministic for the same reasons, plus a
-/// (time, sequence-number) total order over re-admission events.
+/// fault-tolerance layer of `options`. Queries must be in nondecreasing
+/// arrival order with ids 0..n-1 (GenerateLoad's contract). Deterministic:
+/// backend completion streams merge in (completion, id, backend) order
+/// before reaching the policy's feedback hook, and re-admission events
+/// follow a (time, sequence-number) total order, so the same inputs
+/// produce byte-identical reports at any call site.
 FtSchedReport SimulateFaultTolerantServing(
     const std::vector<SchedQuery>& queries,
     std::vector<std::unique_ptr<Backend>>& backends,

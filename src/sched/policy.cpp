@@ -46,6 +46,25 @@ class RoundRobinPolicy final : public SchedulingPolicy {
   std::size_t next_ = 0;
 };
 
+class SpillPolicy final : public SchedulingPolicy {
+ public:
+  explicit SpillPolicy(Nanoseconds threshold_ns)
+      : threshold_ns_(threshold_ns) {}
+
+  std::string_view name() const override { return "spill"; }
+
+  std::size_t Route(
+      const SchedQuery& q,
+      const std::vector<std::unique_ptr<Backend>>& backends) override {
+    const bool spill = backends.size() > 1 && threshold_ns_ > 0.0 &&
+                       backends[0]->QueueDepthNs(q.arrival_ns) > threshold_ns_;
+    return spill ? 1 : 0;
+  }
+
+ private:
+  Nanoseconds threshold_ns_;
+};
+
 /// Lowest predicted latency among accepting backends, lowest index on
 /// ties. Index 0 when the whole fleet is dark (the admit then sheds).
 std::size_t ArgminPredicted(
@@ -158,6 +177,10 @@ std::unique_ptr<SchedulingPolicy> MakeStaticPolicy(std::size_t backend_index,
 
 std::unique_ptr<SchedulingPolicy> MakeRoundRobinPolicy() {
   return std::make_unique<RoundRobinPolicy>();
+}
+
+std::unique_ptr<SchedulingPolicy> MakeSpillPolicy(Nanoseconds threshold_ns) {
+  return std::make_unique<SpillPolicy>(threshold_ns);
 }
 
 std::unique_ptr<SchedulingPolicy> MakeQueueDepthPolicy() {

@@ -6,10 +6,12 @@
 // order. Policies are deterministic: no wall clock, no randomness beyond
 // what the caller seeds, so a routed run replays bit for bit.
 //
-// Four families, in increasing awareness:
+// Five families, in increasing awareness:
 //   static       -- all queries to one fixed backend (the pre-sched world,
 //                   and the baseline the headline result compares against)
 //   round-robin  -- cycles the fleet, blind to state
+//   spill        -- the primary backend until its queue passes a fixed
+//                   threshold, then the secondary (the hybrid CPU+FPGA fleet)
 //   queue-depth  -- argmin of predicted latency (backlog + modeled service)
 //   slo-aware    -- queue-depth prediction gated by an SLO burn-rate
 //                   feedback loop (see MakeSloAwarePolicy)
@@ -54,6 +56,13 @@ std::unique_ptr<SchedulingPolicy> MakeStaticPolicy(std::size_t backend_index,
                                                    std::string name);
 
 std::unique_ptr<SchedulingPolicy> MakeRoundRobinPolicy();
+
+/// Hybrid CPU-spill routing (DeepRecSys / Gupta et al. 2020a): every query
+/// goes to backends[0] unless that backend's queueing delay at the query's
+/// arrival exceeds `threshold_ns`, in which case it spills to backends[1]
+/// -- trading the spilled query's latency for protecting the primary's
+/// tail. A one-backend fleet or a threshold <= 0 never spills.
+std::unique_ptr<SchedulingPolicy> MakeSpillPolicy(Nanoseconds threshold_ns);
 
 /// Argmin of Backend::PredictLatency over accepting backends (lowest
 /// index on ties; falls back to index 0 if nothing accepts).

@@ -73,36 +73,37 @@ SchedSweepResult RunSchedSweep(const SweepGridConfig& config) {
     streams.push_back(GenerateLoad(load));
   }
 
-  SchedOptions options;
-  options.sla_ns = config.sla_ns;
-  options.slo_objective = config.slo_objective;
-
   exec::ParallelRunner runner(exec::ExecConfig::WithThreads(config.threads));
   const std::size_t grid_size = kNumProcesses * kNumPolicies;
-  std::vector<SchedReport> reports =
-      runner.Map(grid_size, [&](std::size_t p) {
-        const std::size_t process_index = p / kNumPolicies;
-        const std::size_t policy_index = p % kNumPolicies;
-        FleetConfig fleet_config;
-        fleet_config.seed = config.seed;
-        fleet_config.horizon_ns = span_ns;
-        fleet_config.lookups_per_item = config.sizes.lookups_per_item;
-        auto fleet = BuildStandardFleet(fleet_config);
-        auto policy = MakeGridPolicy(policy_index, config);
-        return SimulateScheduledServing(streams[process_index], fleet,
-                                        *policy, options);
-      });
-
   SchedSweepResult result;
-  result.records.reserve(grid_size);
-  for (std::size_t p = 0; p < grid_size; ++p) {
+  result.records = runner.Map(grid_size, [&](std::size_t p) {
+    const std::size_t process_index = p / kNumPolicies;
+    const std::size_t policy_index = p % kNumPolicies;
+    FleetConfig fleet_config;
+    fleet_config.seed = config.seed;
+    fleet_config.horizon_ns = span_ns;
+    fleet_config.lookups_per_item = config.sizes.lookups_per_item;
+    auto fleet = BuildStandardFleet(fleet_config);
+    auto policy = MakeGridPolicy(policy_index, config);
+
+    // The scheduled-serving loop with the whole fault-tolerance layer off.
+    FtOptions ft;
+    ft.base.sla_ns = config.sla_ns;
+    ft.base.slo_objective = config.slo_objective;
     SweepRecord record;
-    record.process =
-        ArrivalProcessName(kProcesses[p / kNumPolicies]);
-    record.policy = reports[p].policy;
-    record.report = std::move(reports[p]);
-    result.records.push_back(std::move(record));
-  }
+    if (config.record_events && p == kRecordedGridPoint) {
+      // Recorded inside the parallel map, so the log carries the same
+      // thread-count identity guarantee as the reports.
+      record.events = std::make_shared<obs::EventLog>();
+      ft.event_log = record.events.get();
+    }
+    record.process = ArrivalProcessName(kProcesses[process_index]);
+    record.report = SimulateFaultTolerantServing(streams[process_index], fleet,
+                                                 *policy, ft)
+                        .base;
+    record.policy = record.report.policy;
+    return record;
+  });
 
   // Headline: per bursty process, the best static single-backend policy
   // that kept availability >= 99.9% (none may qualify when every static
@@ -142,49 +143,6 @@ SchedSweepResult RunSchedSweep(const SweepGridConfig& config) {
     result.headlines.push_back(std::move(headline));
   }
   return result;
-}
-
-FtSchedReport RecordSchedSweepPoint(const SweepGridConfig& config,
-                                    std::size_t process_index,
-                                    std::size_t policy_index,
-                                    obs::EventLog& log) {
-  MICROREC_CHECK(process_index < kNumProcesses);
-  MICROREC_CHECK(policy_index < kNumPolicies);
-  MICROREC_CHECK(config.queries >= 1);
-  MICROREC_CHECK(config.qps > 0.0);
-  MICROREC_CHECK(config.sla_ns > 0.0);
-
-  // Exactly the grid's stream for this process (same sub-seed, same burst
-  // geometry) and the grid's fleet/policy construction.
-  const Nanoseconds span_ns =
-      static_cast<double>(config.queries) / config.qps * kNanosPerSecond;
-  LoadGenConfig load;
-  load.process = kProcesses[process_index];
-  load.rate_qps = config.qps;
-  load.num_queries = config.queries;
-  load.seed = exec::ParallelRunner::SubSeed(config.seed, process_index);
-  load.sizes = config.sizes;
-  load.burst_dwell_mean_ns = 0.07 * span_ns;
-  load.calm_dwell_mean_ns = 0.28 * span_ns;
-  load.flash_start_ns = 0.30 * span_ns;
-  load.flash_duration_ns = 0.20 * span_ns;
-  load.diurnal_period_ns = 0.50 * span_ns;
-  const std::vector<SchedQuery> stream = GenerateLoad(load);
-
-  FleetConfig fleet_config;
-  fleet_config.seed = config.seed;
-  fleet_config.horizon_ns = span_ns;
-  fleet_config.lookups_per_item = config.sizes.lookups_per_item;
-  auto fleet = BuildStandardFleet(fleet_config);
-  auto policy = MakeGridPolicy(policy_index, config);
-
-  // The FT event loop with the whole layer off replays the base loop bit
-  // for bit, so this record's report matches the sweep's for the point.
-  FtOptions ft;
-  ft.base.sla_ns = config.sla_ns;
-  ft.base.slo_objective = config.slo_objective;
-  ft.event_log = &log;
-  return SimulateFaultTolerantServing(stream, fleet, *policy, ft);
 }
 
 }  // namespace microrec::sched

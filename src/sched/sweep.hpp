@@ -4,7 +4,8 @@
 // One config expands to: four arrival processes (poisson, mmpp,
 // flash-crowd, diurnal) x seven policies (one static per fleet backend,
 // round-robin, queue-depth, slo-aware), every point simulating the same
-// per-process query stream against a fresh standard fleet. Points run
+// per-process query stream against a fresh standard fleet through the
+// scheduled-serving loop with its fault-tolerance layer off. Points run
 // through the deterministic parallel runner, so results are byte-identical
 // at any thread count.
 //
@@ -15,13 +16,14 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/units.hpp"
+#include "obs/event_log.hpp"
 #include "sched/ft_scheduler.hpp"
 #include "sched/load_gen.hpp"
-#include "sched/scheduler.hpp"
 
 namespace microrec::sched {
 
@@ -39,6 +41,11 @@ inline constexpr std::size_t kNumPolicies = 7;
 /// declaration order.
 inline constexpr std::size_t kNumProcesses = 4;
 
+/// The grid point SweepGridConfig::record_events flight-records:
+/// flash-crowd (process 2) x slo-aware, the headline regime.
+inline constexpr std::size_t kRecordedGridPoint =
+    2 * kNumPolicies + kPolicySloAware;
+
 struct SweepGridConfig {
   std::uint64_t queries = 40'000;
   double qps = 700'000.0;
@@ -48,12 +55,19 @@ struct SweepGridConfig {
   QuerySizeConfig sizes = {/*small_items=*/1, /*large_items=*/64,
                            /*large_fraction=*/0.1, /*lookups_per_item=*/8};
   std::size_t threads = 1;
+  /// Attach a flight recorder to the kRecordedGridPoint point and store the
+  /// log in that record's `events`. Recording never changes any record's
+  /// report (test-gated).
+  bool record_events = false;
 };
 
 struct SweepRecord {
   std::string process;
   std::string policy;
   SchedReport report;
+  /// Flight-recorder log (only on kRecordedGridPoint when
+  /// SweepGridConfig::record_events; null otherwise).
+  std::shared_ptr<obs::EventLog> events;
 };
 
 /// Per-bursty-process comparison backing the headline.
@@ -78,16 +92,5 @@ struct SchedSweepResult {
 /// every point gets a fresh standard fleet, and all reduction happens in
 /// grid order.
 SchedSweepResult RunSchedSweep(const SweepGridConfig& config);
-
-/// Re-runs one grid point (same stream, fleet, and policy as the grid
-/// would build) with a flight recorder attached, through the
-/// fault-tolerant event loop with the whole FT layer off -- bit-identical
-/// to the base loop (test-gated), so the recorded report matches the
-/// sweep's record for that point exactly. Backs `sched-sweep
-/// --record-events`.
-FtSchedReport RecordSchedSweepPoint(const SweepGridConfig& config,
-                                    std::size_t process_index,
-                                    std::size_t policy_index,
-                                    obs::EventLog& log);
 
 }  // namespace microrec::sched

@@ -3,9 +3,9 @@
 // when full, or once its aggregation window has provably closed relative to
 // the advancing simulation clock.
 //
-// Promoted out of hybrid.cpp so the offline SimulateBatchedServer, the
-// hybrid CPU-spill fleet, and the sched/ batched-CPU Backend adapter all
-// run the identical batch-forming state machine. Assigning every query and
+// Shared so the offline SimulateBatchedServer and the sched/ batched-CPU
+// Backend adapter (which the hybrid CPU-spill fleet also runs on) execute
+// the identical batch-forming state machine. Assigning every query and
 // then calling Flush with final_flush = true reproduces the offline batch
 // simulator's completions exactly (same window-open / window-close / launch
 // arithmetic), which is how SimulateBatchedServer is now implemented.

@@ -4,8 +4,9 @@
 // (obs/recovery), and the chaos sweep (sched/chaos) plus its CLI command.
 //
 // The load-bearing gates:
-//   * with every feature disabled the fault-tolerant scheduler replays
-//     SimulateScheduledServing bit for bit (the layer costs nothing off),
+//   * with every feature disabled the scheduler runs no fault-tolerance
+//     machinery (every layer counter stays zero) and passthrough fault
+//     wrappers change nothing (the layer costs nothing off),
 //   * the never-drop invariant: every offered query ends served, shed, or
 //     timed out -- exactly one of them,
 //   * hedge determinism: the same seed yields the identical report,
@@ -34,7 +35,6 @@
 #include "sched/health.hpp"
 #include "sched/load_gen.hpp"
 #include "sched/policy.hpp"
-#include "sched/scheduler.hpp"
 
 namespace microrec {
 namespace {
@@ -305,24 +305,18 @@ sched::FleetConfig SmallFleetConfig() {
 
 TEST(FtSchedulerTest, DisabledLayerMatchesBaseSchedulerBitForBit) {
   const auto stream = sched::GenerateLoad(SmallChaosLoad());
-  sched::SchedOptions base_options;
-  base_options.sla_ns = Milliseconds(2);
-  base_options.slo_objective = 0.99;
 
-  auto base_fleet = sched::BuildStandardFleet(SmallFleetConfig());
-  auto base_policy = sched::MakeQueueDepthPolicy();
-  const sched::SchedReport base = sched::SimulateScheduledServing(
-      stream, base_fleet, *base_policy, base_options);
-
-  // Unwrapped fleet, every fault-tolerance feature off.
+  // Unwrapped fleet, every fault-tolerance feature off: the plain
+  // routing loop, with no layer machinery firing.
   auto ft_fleet = sched::BuildStandardFleet(SmallFleetConfig());
   auto ft_policy = sched::MakeQueueDepthPolicy();
   sched::FtOptions ft_options;
-  ft_options.base = base_options;
+  ft_options.base.sla_ns = Milliseconds(2);
+  ft_options.base.slo_objective = 0.99;
   const sched::FtSchedReport ft =
       sched::SimulateFaultTolerantServing(stream, ft_fleet, *ft_policy,
                                           ft_options);
-  ExpectSameBaseReport(ft.base, base);
+  EXPECT_EQ(ft.base.offered, ft.base.served + ft.base.shed);
   EXPECT_EQ(ft.timed_out, 0u);
   EXPECT_EQ(ft.retries, 0u);
   EXPECT_EQ(ft.hedges, 0u);
@@ -338,7 +332,7 @@ TEST(FtSchedulerTest, DisabledLayerMatchesBaseSchedulerBitForBit) {
   auto wrapped_policy = sched::MakeQueueDepthPolicy();
   const sched::FtSchedReport wrapped = sched::SimulateFaultTolerantServing(
       stream, wrapped_fleet, *wrapped_policy, ft_options);
-  ExpectSameBaseReport(wrapped.base, base);
+  ExpectSameBaseReport(wrapped.base, ft.base);
 }
 
 TEST(FtSchedulerTest, RetryReroutesToUntriedBackendAfterTimeout) {
@@ -752,9 +746,9 @@ TEST(ChaosSweepTest, ZeroIntensityPointsMatchHealthyBaseScheduler) {
   const auto stream = sched::GenerateLoad(load);
   const Nanoseconds span =
       static_cast<double>(config.queries) / config.qps * kNanosPerSecond;
-  sched::SchedOptions base_options;
-  base_options.sla_ns = config.sla_ns;
-  base_options.slo_objective = config.slo_objective;
+  sched::FtOptions healthy;  // fault-tolerance layer off
+  healthy.base.sla_ns = config.sla_ns;
+  healthy.base.slo_objective = config.slo_objective;
 
   const std::pair<std::size_t, std::size_t> checks[] = {
       {sched::kChaosStaticFpga, sched::kFleetFpga},
@@ -767,8 +761,9 @@ TEST(ChaosSweepTest, ZeroIntensityPointsMatchHealthyBaseScheduler) {
     auto policy = static_backend < sched::kFleetSize
                       ? sched::MakeStaticPolicy(static_backend, "static:fpga")
                       : sched::MakeQueueDepthPolicy();
-    const sched::SchedReport base = sched::SimulateScheduledServing(
-        stream, fleet, *policy, base_options);
+    const sched::SchedReport base =
+        sched::SimulateFaultTolerantServing(stream, fleet, *policy, healthy)
+            .base;
     ExpectSameBaseReport(result.records[policy_index].report.base, base);
     EXPECT_TRUE(result.records[policy_index].recovery.windows.empty());
   }

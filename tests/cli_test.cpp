@@ -6,9 +6,12 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cli/args.hpp"
 #include "cli/commands.hpp"
+#include "obs/json_reader.hpp"
 
 namespace microrec::cli {
 namespace {
@@ -332,6 +335,61 @@ TEST_F(CliTest, FaultSweepSmoke) {
             std::string::npos);
   EXPECT_NE(contents.str().find("\"records\""), std::string::npos);
   EXPECT_NE(contents.str().find("\"availability\""), std::string::npos);
+}
+
+TEST_F(CliTest, SweepJsonReportsParseBackWithAQuotedModelName) {
+  // A model name that needs escaping, and a target rate that default
+  // stream precision would round: every sweep's --json must stay valid
+  // JSON and carry both exactly.
+  const std::string model_path = Path("model.txt");
+  ASSERT_TRUE(Run({"modelgen", "small", "--out", model_path}).first.ok());
+  std::string model_text = Slurp(model_path);
+  const std::string name_line = "name alibaba-small\n";
+  const auto name_pos = model_text.find(name_line);
+  ASSERT_NE(name_pos, std::string::npos);
+  model_text.replace(name_pos, name_line.size(), "name my\"model\n");
+  std::ofstream(model_path) << model_text;
+
+  const std::vector<std::vector<std::string>> sweeps = {
+      {"update-sweep", model_path, "--queries", "400", "--points", "3",
+       "--update-qps-max", "1000000"},
+      {"fault-sweep", model_path, "--queries", "400", "--max-failed", "1"},
+      {"scaleout", model_path, "--queries", "400", "--points", "1",
+       "--qps-min", "1234567", "--qps-max", "1234567"},
+  };
+  for (std::vector<std::string> args : sweeps) {
+    const std::string command = args[0];
+    const std::string json_path = Path(command + ".json");
+    args.insert(args.end(), {"--json", json_path});
+    auto [status, out] = Run(args);
+    ASSERT_TRUE(status.ok()) << command << ": " << status;
+    EXPECT_NE(out.find("wrote JSON report to " + json_path),
+              std::string::npos);
+
+    const auto doc = obs::JsonValue::Parse(Slurp(json_path));
+    ASSERT_TRUE(doc.ok()) << command << ": " << doc.status().message();
+    const obs::JsonValue* name = doc.value().Find("command");
+    ASSERT_NE(name, nullptr);
+    EXPECT_EQ(name->AsString(), command);
+    const obs::JsonValue* model = doc.value().Find("model");
+    ASSERT_NE(model, nullptr);
+    EXPECT_EQ(model->AsString(), "my\"model");
+    const obs::JsonValue* records = doc.value().Find("records");
+    ASSERT_NE(records, nullptr);
+    ASSERT_TRUE(records->is_array());
+    EXPECT_FALSE(records->AsArray().empty()) << command;
+    for (const obs::JsonValue& record : records->AsArray()) {
+      ASSERT_TRUE(record.is_object());
+      const obs::JsonValue* p99 = record.Find("p99_ns");
+      ASSERT_NE(p99, nullptr) << command;
+      EXPECT_TRUE(p99->is_number()) << command;
+    }
+    if (command == "scaleout") {
+      const obs::JsonValue* target = records->AsArray()[0].Find("target_qps");
+      ASSERT_NE(target, nullptr);
+      EXPECT_EQ(target->AsNumber(), 1234567.0);
+    }
+  }
 }
 
 TEST_F(CliTest, FaultSweepRejectsBadMaxFailed) {

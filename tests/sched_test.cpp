@@ -9,10 +9,15 @@
 //     the argmin, slo-aware offloads only once the fast path's occupancy
 //     gate trips, degraded pools shed only while fully down);
 //   * the sweep grid is byte-identical across thread counts and its
-//     headline rows are consistent with the grid records.
+//     headline rows are consistent with the grid records;
+//   * flight-recording the sweep's flash-crowd x slo-aware point changes
+//     no record and yields the same log bytes at any thread count.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -20,12 +25,13 @@
 
 #include "cli/commands.hpp"
 #include "faults/fault_schedule.hpp"
+#include "obs/event_log.hpp"
 #include "sched/backend.hpp"
 #include "sched/backends.hpp"
 #include "sched/fleet.hpp"
+#include "sched/ft_scheduler.hpp"
 #include "sched/load_gen.hpp"
 #include "sched/policy.hpp"
-#include "sched/scheduler.hpp"
 #include "sched/sweep.hpp"
 #include "serving/scaleout.hpp"
 #include "serving/serving_sim.hpp"
@@ -380,6 +386,26 @@ TEST(SchedPolicyTest, RoundRobinCyclesTheFleet) {
   EXPECT_EQ(picks, (std::vector<std::size_t>{0, 1, 0, 1, 0, 1}));
 }
 
+TEST(SchedPolicyTest, SpillLeavesThePrimaryOnlyPastItsThreshold) {
+  auto fleet = TwoPipelineFleet();
+  auto policy = MakeSpillPolicy(2'500.0);
+  EXPECT_EQ(policy->name(), "spill");
+  // Idle primary, then two queued items (1 us apart): still under 2.5 us.
+  EXPECT_EQ(policy->Route(SchedQuery{0, 0.0, 1, 1}, fleet), 0u);
+  ASSERT_TRUE(fleet[0]->Admit(SchedQuery{1, 0.0, 1, 1}));
+  ASSERT_TRUE(fleet[0]->Admit(SchedQuery{2, 0.0, 1, 1}));
+  EXPECT_EQ(policy->Route(SchedQuery{3, 0.0, 1, 1}, fleet), 0u);
+  // A third item puts the next start 3 us out: the query spills.
+  ASSERT_TRUE(fleet[0]->Admit(SchedQuery{4, 0.0, 1, 1}));
+  EXPECT_EQ(policy->Route(SchedQuery{5, 0.0, 1, 1}, fleet), 1u);
+  // The threshold is strict: exactly 2.5 us of queue stays on the primary.
+  EXPECT_EQ(policy->Route(SchedQuery{6, 500.0, 1, 1}, fleet), 0u);
+  // A zero threshold or a one-backend fleet never spills.
+  EXPECT_EQ(MakeSpillPolicy(0.0)->Route(SchedQuery{7, 0.0, 1, 1}, fleet), 0u);
+  fleet.pop_back();
+  EXPECT_EQ(policy->Route(SchedQuery{8, 0.0, 1, 1}, fleet), 0u);
+}
+
 TEST(SchedPolicyTest, QueueDepthPicksTheLowestPredictedLatency) {
   auto fleet = TwoPipelineFleet();
   auto policy = MakeQueueDepthPolicy();
@@ -450,10 +476,10 @@ TEST(SchedServingTest, StaticFpgaReproducesReplicatedPipelinesExactly) {
   fleet_config.horizon_ns = queries.back().arrival_ns;
   auto fleet = BuildStandardFleet(fleet_config);
   auto policy = MakeStaticPolicy(kFleetFpga, "static:fpga");
-  SchedOptions options;
-  options.sla_ns = Milliseconds(2);
-  const auto report =
-      SimulateScheduledServing(queries, fleet, *policy, options);
+  FtOptions options;  // fault-tolerance layer off
+  options.base.sla_ns = Milliseconds(2);
+  const SchedReport report =
+      SimulateFaultTolerantServing(queries, fleet, *policy, options).base;
 
   const auto arrivals = PoissonArrivals(load.rate_qps, load.num_queries,
                                         load.seed);
@@ -461,7 +487,7 @@ TEST(SchedServingTest, StaticFpgaReproducesReplicatedPipelinesExactly) {
       SimulateReplicatedPipelines(arrivals, fleet_config.fpga_replicas,
                                   fleet_config.fpga_item_latency_ns,
                                   fleet_config.fpga_initiation_interval_ns,
-                                  options.sla_ns)
+                                  options.base.sla_ns)
           .value();
   EXPECT_EQ(report.offered, load.num_queries);
   EXPECT_EQ(report.served, load.num_queries);
@@ -484,10 +510,10 @@ TEST(SchedServingTest, ShedQueriesCountAgainstAvailabilityAndSlo) {
   fleet_config.horizon_ns = queries.back().arrival_ns;
   auto fleet = BuildStandardFleet(fleet_config);
   auto policy = MakeStaticPolicy(kFleetDegraded, "static:degraded");
-  SchedOptions options;
-  options.sla_ns = Milliseconds(2);
-  const auto report =
-      SimulateScheduledServing(queries, fleet, *policy, options);
+  FtOptions options;  // fault-tolerance layer off
+  options.base.sla_ns = Milliseconds(2);
+  const SchedReport report =
+      SimulateFaultTolerantServing(queries, fleet, *policy, options).base;
   // The standard fleet's degraded pool has crash windows inside the
   // horizon, so a policy pinned to it must shed.
   EXPECT_GT(report.shed, 0u);
@@ -594,6 +620,76 @@ TEST(SchedSweepTest, CliStdoutByteIdenticalAcrossThreads) {
     ASSERT_TRUE(cli::RunCli(threaded_args, threaded).ok());
     EXPECT_EQ(serial.str(), threaded.str()) << "--threads " << threads;
   }
+}
+
+TEST(SchedSweepTest, RecordingChangesNoRecordAndIsThreadIdentical) {
+  SweepGridConfig config;
+  config.queries = 1'500;
+  config.qps = 500'000.0;
+  config.seed = 13;
+  const auto unrecorded = RunSchedSweep(config);
+  for (const auto& record : unrecorded.records) {
+    EXPECT_EQ(record.events, nullptr);
+  }
+
+  config.record_events = true;
+  const auto serial = RunSchedSweep(config);
+  config.threads = 4;
+  const auto threaded = RunSchedSweep(config);
+
+  // Recording changes no record, at 1 and at 4 threads.
+  ExpectSameSweep(unrecorded, serial);
+  ExpectSameSweep(unrecorded, threaded);
+
+  // Only the flash-crowd x slo-aware point carries a log...
+  for (std::size_t i = 0; i < serial.records.size(); ++i) {
+    if (i == kRecordedGridPoint) continue;
+    EXPECT_EQ(serial.records[i].events, nullptr) << i;
+    EXPECT_EQ(threaded.records[i].events, nullptr) << i;
+  }
+  const SweepRecord& recorded = serial.records[kRecordedGridPoint];
+  EXPECT_EQ(recorded.process, "flash-crowd");
+  EXPECT_EQ(recorded.policy, "slo-aware");
+  ASSERT_NE(recorded.events, nullptr);
+  ASSERT_NE(threaded.records[kRecordedGridPoint].events, nullptr);
+  EXPECT_GT(recorded.events->size(), 0u);
+  // ...and its serialized log is byte-identical across thread counts.
+  EXPECT_EQ(recorded.events->ToJson(),
+            threaded.records[kRecordedGridPoint].events->ToJson());
+}
+
+TEST(SchedSweepTest, CliRecordEventsOnlyAppendsToStdout) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("microrec_sched_recorder_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const std::string events_path = (dir / "events.json").string();
+  const std::string postmortem_path = (dir / "postmortem.json").string();
+
+  const std::vector<std::string> base_args = {"sched-sweep", "--queries",
+                                              "1200", "--qps", "400000"};
+  std::ostringstream plain;
+  ASSERT_TRUE(cli::RunCli(base_args, plain).ok());
+  std::vector<std::string> args = base_args;
+  args.insert(args.end(), {"--record-events", events_path, "--postmortem",
+                           postmortem_path});
+  std::ostringstream recorded;
+  ASSERT_TRUE(cli::RunCli(args, recorded).ok());
+
+  ASSERT_GT(recorded.str().size(), plain.str().size());
+  EXPECT_EQ(recorded.str().substr(0, plain.str().size()), plain.str());
+  EXPECT_NE(recorded.str().find("flight recorder: flash-crowd x slo-aware"),
+            std::string::npos);
+
+  std::ifstream events_file(events_path);
+  std::ostringstream events_text;
+  events_text << events_file.rdbuf();
+  const auto parsed = obs::EventLog::FromJson(events_text.str());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_GT(parsed.value().size(), 0u);
+  EXPECT_TRUE(fs::exists(postmortem_path));
+  fs::remove_all(dir);
 }
 
 TEST(SchedSweepTest, CliRejectsBadArguments) {

@@ -1,39 +1,17 @@
 #!/usr/bin/env bash
 # Sanitizer leg of the tier-1 verify path: configures a dedicated build tree
-# with MICROREC_SANITIZE=address,undefined and runs the tests most exposed to
-# memory/concurrency bugs -- the lock-free versioned store, the update
-# subsystem around it, the hot cache, the embedding/Cartesian layer it
-# feeds, and the fault-injection / failover / degraded-serving machinery
-# (rejected-access bookkeeping, retry state machine, schedule generation),
-# plus the telemetry layer (metrics registry, histograms, span tracer,
-# identity gates) and its analysis layer (critical-path attribution, time
-# series, SLO burn rate, perf gate, JSON reader), the
-# concurrency-sensitive PercentileTracker/logging
-# paths, and the parallel experiment engine (thread pool, ParallelRunner,
-# snapshot merging, cross-thread determinism) with the memsim hot path it
-# drives, and the multi-path scheduling subsystem (load generator, backend
-# adapters with their completion heaps, routing policies, the threaded
-# sweep grid), and the fault-tolerance stack on top of it (circuit
-# breakers, backend fault models, the event-loop scheduler's re-admission
-# bookkeeping, recovery metrics, the chaos sweep), and the flight
-# recorder on top of that (event ring + merge, timeline reconstruction,
-# postmortem snapshots, the recorder-attached identity gates), and the
-# vectorized CPU hot path (packed row layout, AVX2 gather/sum-pool vs
-# scalar, fused GEMM/GEMV epilogues, the packed hot-row cache, the
-# zero-allocation inference scratch, and the CpuEngine dispatch over them
-# -- exactly the code where a lane off-by-one or a padded-tail overread
-# would live), and the hardware profiling layer (perf_event group
-# open/close lifecycle, counter-scaling math, ProfScope RAII under
-# exceptions, the profiler-attached engine identity gates).
+# with MICROREC_SANITIZE=address,undefined and runs the whole test suite
+# under ASan+UBSan, so a test cannot drop out of the leg by moving between
+# suites.
 # Usage:
 #   tools/verify_sanitize.sh [build-dir] [ctest -R regex]
-# The regex matches ctest's discovered names (Suite.Test, e.g. "HotCache").
-# Pass '.' as the regex to run the full suite under sanitizers (slower).
+# The optional regex narrows the run to matching ctest names (Suite.Test,
+# e.g. "HotCache") for a quicker local loop.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-"$repo/build-asan"}"
-filter="${2:-"Update|VersionedStore|HotCache|Embedding|Combined|Hybrid|FaultSchedule|FaultInjector|Failover|RetryPolicy|DmaRetry|DegradedServing|FailureDeath|Scaleout|ProvisionFleet|Metrics|Histogram|Exporter|JsonWriter|JsonReader|SpanTracer|TelemetryIdentity|Attribution|TimeSeries|Slo|PerfGate|Quantiles|PercentileTracker|Logging|ThreadPool|ParallelRunner|MergeSnapshots|ParallelDeterminism|BankModelOracle|HybridMemory|LoadGen|SchedBackend|SchedPolicy|SchedServing|SchedSweep|CircuitBreaker|BackendFaultModel|FtScheduler|Recovery|ChaosSweep|EventLog|Explain|Postmortem|FlightRecorder|Gather|PackedRow|GemmFused|GemvFused|MatrixCapacity|ZeroAlloc|CpuEngine|MlpModel|CounterScaling|ProfScope|HwProfiler|Roofline|ProfReport|ProfIdentity"}"
+filter="${2:-}"
 
 cmake -B "$build" -S "$repo" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -45,5 +23,10 @@ cmake --build "$build" -j "$(nproc)"
 # halt_on_error makes UBSan findings fail the run instead of just logging.
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
 # --no-tests=error guards against a filter that silently matches nothing.
-ctest --test-dir "$build" --output-on-failure --no-tests=error -R "$filter"
-echo "sanitizer verify OK ($filter)"
+ctest_args=(--test-dir "$build" --output-on-failure --no-tests=error
+            -j "$(nproc)")
+if [[ -n "$filter" ]]; then
+  ctest_args+=(-R "$filter")
+fi
+ctest "${ctest_args[@]}"
+echo "sanitizer verify OK (${filter:-full suite})"
