@@ -5,21 +5,28 @@
 // Part (a): p99 and availability vs the number of failed HBM channels, at
 // table-replication factors 1, 2, and 4 -- "what does a lost channel cost
 // at p99, and how many replicas buy it back?".
-// Part (b): with zero injected faults, the fault-aware simulator must be
+// Each point is a one-pipeline fleet (sched::PipelineBackend with a
+// FailoverRouter and a 30 ms admission bound) run by the event-loop
+// scheduler with its fault-tolerance layer off.
+// Part (b): with zero injected faults, the fault-aware pipeline must be
 // field-for-field identical to the fault-free SimulateReplicatedPipelines
 // (the injection layer is zero-cost when disabled); the run fails loudly
 // if not. Emits BENCH_ablation_faults.json alongside the table.
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/table_printer.hpp"
 #include "core/microrec.hpp"
 #include "exec/parallel.hpp"
-#include "faults/degraded_serving.hpp"
 #include "faults/failover.hpp"
 #include "faults/fault_schedule.hpp"
 #include "placement/replication.hpp"
+#include "sched/backends.hpp"
+#include "sched/ft_scheduler.hpp"
+#include "sched/load_gen.hpp"
+#include "sched/policy.hpp"
 #include "serving/scaleout.hpp"
 #include "workload/model_zoo.hpp"
 
@@ -66,7 +73,12 @@ int main() {
   constexpr double kQueryQps = 150'000.0;
   constexpr std::uint64_t kQueries = 30'000;
   constexpr std::uint64_t kMaxFailed = 6;
-  const auto arrivals = PoissonArrivals(kQueryQps, kQueries, 13);
+  constexpr Nanoseconds kSla = Milliseconds(30);
+  sched::LoadGenConfig load;
+  load.rate_qps = kQueryQps;
+  load.num_queries = kQueries;
+  load.seed = 13;
+  const auto queries = sched::GenerateLoad(load);
   std::printf("model: %s (%u lookups/table) | %.0f QPS, %llu queries\n",
               model.name.c_str(), model.lookups_per_table, kQueryQps,
               (unsigned long long)kQueries);
@@ -122,35 +134,35 @@ int main() {
     const FaultSchedule schedule = FaultSchedule::FailChannels(failed);
     const FailoverRouter router(&c.plan, &schedule);
 
-    DegradedServingConfig config;
-    config.pipeline_replicas = 1;
-    config.item_latency_ns = c.item_latency_ns;
-    config.initiation_interval_ns = engine.timing().initiation_interval_ns;
-    config.base_lookup_latency_ns = c.plan.lookup_latency_ns;
-    config.lookups_per_table = model.lookups_per_table;
-    return SimulateDegradedServing(arrivals, config, schedule, &router,
-                                   &platform)
-        .value();
+    sched::PipelineBackendConfig pipeline;
+    pipeline.item_latency_ns = c.item_latency_ns;
+    pipeline.initiation_interval_ns = engine.timing().initiation_interval_ns;
+    pipeline.failover = {&router, &platform, model.lookups_per_table};
+    pipeline.admission_queue_ns = kSla;
+    std::vector<std::unique_ptr<sched::Backend>> fleet;
+    fleet.push_back(std::make_unique<sched::PipelineBackend>(pipeline));
+    const auto policy = sched::MakeStaticPolicy(0, "static:fpga");
+    sched::FtOptions ft;
+    ft.base.sla_ns = kSla;
+    return sched::SimulateFaultTolerantServing(queries, fleet, *policy, ft)
+        .base;
   });
 
   for (std::size_t p = 0; p < grid.size(); ++p) {
     const Case& c = cases[grid[p].case_index];
     const std::uint64_t k = grid[p].failed;
-    const DegradedServingReport& report = reports[p];
+    const sched::SchedReport& report = reports[p];
+    const double shed_rate = 1.0 - report.availability;
 
     if (k == 0) {
       // Part (b): zero injected faults == the fault-free simulator,
       // field for field.
-      DegradedServingConfig config;
-      config.pipeline_replicas = 1;
-      config.item_latency_ns = c.item_latency_ns;
-      config.initiation_interval_ns = engine.timing().initiation_interval_ns;
-      const auto baseline = SimulateReplicatedPipelines(
-                                arrivals, config.pipeline_replicas,
-                                config.item_latency_ns,
-                                config.initiation_interval_ns,
-                                config.sla_ns)
-                                .value();
+      const auto baseline =
+          SimulateReplicatedPipelines(
+              PoissonArrivals(kQueryQps, kQueries, 13), /*replicas=*/1,
+              c.item_latency_ns, engine.timing().initiation_interval_ns,
+              kSla)
+              .value();
       const bool same = report.availability == 1.0 &&
                         report.serving.p50 == baseline.p50 &&
                         report.serving.p95 == baseline.p95 &&
@@ -169,13 +181,13 @@ int main() {
 
     table.AddRow({std::to_string(c.replication), std::to_string(k),
                   TablePrinter::Num(100.0 * report.availability, 2) + "%",
-                  TablePrinter::Num(100.0 * report.shed_rate, 2) + "%",
+                  TablePrinter::Num(100.0 * shed_rate, 2) + "%",
                   TablePrinter::Num(report.serving.p50 / 1000.0, 2),
                   TablePrinter::Num(report.serving.p99 / 1000.0, 2)});
     json.AddRecord({{"replication", c.replication},
                     {"failed_channels", k},
                     {"availability", report.availability},
-                    {"shed_rate", report.shed_rate},
+                    {"shed_rate", shed_rate},
                     {"p50_ns", report.serving.p50},
                     {"p99_ns", report.serving.p99}});
   }

@@ -24,13 +24,16 @@
 #include "obs/slo.hpp"
 #include "obs/span_tracer.hpp"
 #include "obs/timeseries.hpp"
-#include "faults/degraded_serving.hpp"
 #include "faults/failover.hpp"
 #include "faults/fault_schedule.hpp"
 #include "placement/heuristic.hpp"
 #include "placement/replication.hpp"
+#include "sched/backends.hpp"
 #include "sched/chaos.hpp"
 #include "sched/fleet.hpp"
+#include "sched/ft_scheduler.hpp"
+#include "sched/load_gen.hpp"
+#include "sched/policy.hpp"
 #include "sched/sweep.hpp"
 #include "serving/scaleout.hpp"
 #include "serving/serving_sim.hpp"
@@ -539,13 +542,16 @@ Status CmdFaultSweep(const ArgList& args, std::ostream& out) {
   options.materialize = false;
   auto engine = MicroRecEngine::Build(*model, options);
   if (!engine.ok()) return engine.status();
-  const auto arrivals = PoissonArrivals(static_cast<double>(sweep->qps),
-                                        sweep->queries, sweep->seed);
+  sched::LoadGenConfig load;
+  load.rate_qps = static_cast<double>(sweep->qps);
+  load.num_queries = sweep->queries;
+  load.seed = sweep->seed;
+  const std::vector<sched::SchedQuery> queries = sched::GenerateLoad(load);
 
   // Replication plans are built serially up front (they are shared,
   // read-only inputs); the flattened (replication, failed-channels) grid is
   // then mapped over the parallel runner, each point building its own fault
-  // schedule, router, and degraded-serving simulation.
+  // schedule, router, and one-pipeline fleet.
   struct ReplicationCase {
     std::uint32_t replication = 0;
     ReplicationPlan plan;
@@ -604,10 +610,12 @@ Status CmdFaultSweep(const ArgList& args, std::ostream& out) {
   }
 
   struct FaultPointResult {
-    Status status;
-    DegradedServingReport report;
+    sched::SchedReport report;
     obs::SloReport slo;
   };
+  // Queueing a query that is already doomed only delays every query
+  // behind it, so the admission bound is the SLA.
+  const Nanoseconds sla = Milliseconds(30);
   exec::ParallelRunner runner(exec::ExecConfig::WithThreads(sweep->threads));
   const std::vector<FaultPointResult> results =
       runner.Map(grid.size(), [&](std::size_t p) {
@@ -618,29 +626,30 @@ Status CmdFaultSweep(const ArgList& args, std::ostream& out) {
         const FaultSchedule schedule = FaultSchedule::FailChannels(failed);
         const FailoverRouter router(&rc.plan, &schedule);
 
-        DegradedServingConfig config;
-        config.pipeline_replicas = 1;
-        config.item_latency_ns = rc.item_latency_ns;
-        config.initiation_interval_ns =
+        sched::PipelineBackendConfig pipeline;
+        pipeline.item_latency_ns = rc.item_latency_ns;
+        pipeline.initiation_interval_ns =
             engine->timing().initiation_interval_ns;
-        config.base_lookup_latency_ns = rc.plan.lookup_latency_ns;
-        config.lookups_per_table = model->lookups_per_table;
+        pipeline.failover = {&router, &platform, model->lookups_per_table};
+        pipeline.admission_queue_ns = sla;
+        std::vector<std::unique_ptr<sched::Backend>> fleet;
+        fleet.push_back(std::make_unique<sched::PipelineBackend>(pipeline));
+        const auto policy = sched::MakeStaticPolicy(0, "static:fpga");
+        sched::FtOptions ft;
+        ft.base.sla_ns = sla;
         std::vector<obs::QueryOutcome> outcomes;
-        config.outcomes = &outcomes;
-        auto report = SimulateDegradedServing(arrivals, config, schedule,
-                                              &router, &platform);
+        ft.outcomes = &outcomes;
         FaultPointResult result;
-        result.status = report.status();
-        if (report.ok()) {
-          result.report = std::move(*report);
-          // Would an on-call have been paged, and how fast? The burn-rate
-          // ladder treats the run's span as the SLO budget period and the
-          // serving SLA as the latency threshold.
-          result.slo = obs::EvaluateSlo(
-              obs::SloSpec::Default(config.sla_ns, 0.999,
-                                    std::max(arrivals.back(), 1.0)),
-              outcomes);
-        }
+        result.report =
+            sched::SimulateFaultTolerantServing(queries, fleet, *policy, ft)
+                .base;
+        // Would an on-call have been paged, and how fast? The burn-rate
+        // ladder treats the run's span as the SLO budget period and the
+        // serving SLA as the latency threshold.
+        result.slo = obs::EvaluateSlo(
+            obs::SloSpec::Default(sla, 0.999,
+                                  std::max(queries.back().arrival_ns, 1.0)),
+            outcomes);
         return result;
       });
 
@@ -651,10 +660,9 @@ Status CmdFaultSweep(const ArgList& args, std::ostream& out) {
          "alert_ms   budget%\n";
 
   for (std::size_t p = 0; p < grid.size(); ++p) {
-    if (!results[p].status.ok()) return results[p].status;
     const std::uint32_t replication = cases[grid[p].case_index].replication;
     const std::uint64_t k = grid[p].failed_channels;
-    const DegradedServingReport& report = results[p].report;
+    const sched::SchedReport& report = results[p].report;
     const obs::SloReport& slo = results[p].slo;
     char alert[24];
     if (slo.alerted) {
@@ -666,7 +674,8 @@ Status CmdFaultSweep(const ArgList& args, std::ostream& out) {
     std::snprintf(line, sizeof line,
                   "%8u  %9llu  %11.2f%%  %5.2f%%  %8.2f  %8.2f  %s  %7.1f%%\n",
                   replication, (unsigned long long)k,
-                  100.0 * report.availability, 100.0 * report.shed_rate,
+                  100.0 * report.availability,
+                  100.0 * (1.0 - report.availability),
                   report.serving.p50 / 1000.0,
                   report.serving.p99 / 1000.0, alert,
                   100.0 * slo.error_budget_remaining);
@@ -683,13 +692,13 @@ Status CmdFaultSweep(const ArgList& args, std::ostream& out) {
         json.Key("records");
         json.BeginArray();
         for (std::size_t p = 0; p < grid.size(); ++p) {
-          const DegradedServingReport& report = results[p].report;
+          const sched::SchedReport& report = results[p].report;
           const obs::SloReport& slo = results[p].slo;
           json.BeginObject();
           json.KV("replication", cases[grid[p].case_index].replication);
           json.KV("failed_channels", grid[p].failed_channels);
           json.KV("availability", report.availability);
-          json.KV("shed_rate", report.shed_rate);
+          json.KV("shed_rate", 1.0 - report.availability);
           json.KV("p50_ns", report.serving.p50);
           json.KV("p99_ns", report.serving.p99);
           json.KV("slo_alerted", slo.alerted);

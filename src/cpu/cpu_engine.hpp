@@ -62,7 +62,8 @@ class CpuEngine {
  public:
   /// Materializes the model's tables (capped per table by
   /// `max_physical_rows`) and builds the float MLP. `threads` sizes the
-  /// worker pool used for batched gathers and GEMM sharding.
+  /// worker pool that shards a batch's embedding gathers by query; the MLP
+  /// forward pass (GEMM layers and head) runs on the calling thread.
   CpuEngine(const RecModelSpec& model, std::uint64_t max_physical_rows,
             FrameworkOverheadParams overhead = {}, std::size_t threads = 1);
 

@@ -2,8 +2,25 @@
 
 #include <limits>
 #include <sstream>
+#include <string>
 
 namespace microrec {
+
+namespace {
+
+constexpr std::uint64_t kSaturated = std::numeric_limits<std::uint64_t>::max();
+
+/// a * b, or uint64 max when the product overflows.
+std::uint64_t SaturatingMul(std::uint64_t a, std::uint64_t b) {
+  if (b != 0 && a > kSaturated / b) return kSaturated;
+  return a * b;
+}
+
+}  // namespace
+
+Bytes TableSpec::TotalBytes() const {
+  return SaturatingMul(rows, VectorBytes());
+}
 
 Status TableSpec::Validate() const {
   if (rows == 0) {
@@ -15,6 +32,11 @@ Status TableSpec::Validate() const {
   if (element_bytes != 2 && element_bytes != 4) {
     return Status::InvalidArgument(
         "table " + name + ": element_bytes must be 2 (fixed16) or 4 (fp32)");
+  }
+  if (rows > kSaturated / VectorBytes()) {
+    return Status::InvalidArgument("table " + name + ": " +
+                                   std::to_string(rows) +
+                                   " rows overflow a 64-bit byte count");
   }
   return Status::Ok();
 }
@@ -30,10 +52,7 @@ CombinedTable::CombinedTable(std::vector<TableSpec> members)
 std::uint64_t CombinedTable::rows() const {
   std::uint64_t product = 1;
   for (const auto& m : members_) {
-    if (m.rows != 0 &&
-        product > std::numeric_limits<std::uint64_t>::max() / m.rows) {
-      return std::numeric_limits<std::uint64_t>::max();  // saturate
-    }
+    if (m.rows != 0 && product > kSaturated / m.rows) return kSaturated;
     product *= m.rows;
   }
   return product;
@@ -51,12 +70,8 @@ std::uint32_t CombinedTable::element_bytes() const {
 }
 
 Bytes CombinedTable::TotalBytes() const {
-  const std::uint64_t r = rows();
-  const Bytes vb = VectorBytes();
-  if (vb != 0 && r > std::numeric_limits<Bytes>::max() / vb) {
-    return std::numeric_limits<Bytes>::max();  // saturate: clearly infeasible
-  }
-  return r * vb;
+  // Saturated: clearly infeasible to place.
+  return SaturatingMul(rows(), VectorBytes());
 }
 
 Bytes CombinedTable::StorageOverheadBytes() const {

@@ -29,10 +29,12 @@ struct TableSpec {
   Bytes VectorBytes() const {
     return static_cast<Bytes>(dim) * element_bytes;
   }
-  /// Total (virtual) storage of the table.
-  Bytes TotalBytes() const { return rows * VectorBytes(); }
+  /// Total (virtual) storage of the table (saturates at uint64 max, like
+  /// CombinedTable::TotalBytes; Validate rejects such a table).
+  Bytes TotalBytes() const;
 
-  /// OK iff rows >= 1, dim >= 1 and element_bytes in {2, 4}.
+  /// OK iff rows >= 1, dim >= 1, element_bytes in {2, 4}, and the table's
+  /// byte size fits in uint64.
   Status Validate() const;
 };
 

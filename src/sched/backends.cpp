@@ -1,6 +1,7 @@
 #include "sched/backends.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/status.hpp"
 
@@ -15,6 +16,16 @@ PipelineBackend::PipelineBackend(const PipelineBackendConfig& config)
   MICROREC_CHECK(config.replicas >= 1);
   MICROREC_CHECK(config.item_latency_ns > 0.0);
   MICROREC_CHECK(config.initiation_interval_ns > 0.0);
+  MICROREC_CHECK(config.admission_queue_ns >= 0.0);
+  const LookupFailover& failover = config.failover;
+  if (failover.router != nullptr) {
+    MICROREC_CHECK(failover.platform != nullptr);
+    MICROREC_CHECK(failover.lookups_per_table >= 1);
+    MICROREC_CHECK(failover.router->plan().lookup_latency_ns > 0.0);
+  }
+  healthy_ = config.faults.empty() && failover.router == nullptr &&
+             config.admission_queue_ns ==
+                 std::numeric_limits<double>::infinity();
   // A k-item query streams for (k - 1) intervals and finishes one item
   // latency after its last start, so the linear model is exact here:
   // service(k) = (item_latency - ii) + k * ii. Lookups ride inside the
@@ -33,23 +44,73 @@ double PipelineBackend::capacity_items_per_s() const {
          config_.initiation_interval_ns;
 }
 
-Nanoseconds PipelineBackend::QueueDepthNs(Nanoseconds now) const {
-  Nanoseconds earliest = replicas_[0].NextStart();
-  for (std::size_t k = 1; k < replicas_.size(); ++k) {
-    earliest = std::min(earliest, replicas_[k].NextStart());
+std::size_t PipelineBackend::LeastLoaded(Nanoseconds now,
+                                         bool live_only) const {
+  // Earliest NextStart, lowest index on ties -- the same rule (and the
+  // same floating-point comparisons) as SimulateReplicatedPipelines.
+  const std::size_t none = replicas_.size();
+  std::size_t best = none;
+  for (std::size_t k = 0; k < replicas_.size(); ++k) {
+    if (live_only && !config_.faults.empty() &&
+        !config_.faults.ReplicaAlive(static_cast<std::uint32_t>(k), now)) {
+      continue;
+    }
+    if (best == none ||
+        replicas_[k].NextStart() < replicas_[best].NextStart()) {
+      best = k;
+    }
   }
-  return std::max(0.0, earliest - now);
+  return best;
+}
+
+Nanoseconds PipelineBackend::QueueDepthNs(Nanoseconds now) const {
+  std::size_t best = LeastLoaded(now);
+  // A dark pool reports the whole pool's backlog (policies consult
+  // Accepting first).
+  if (best == replicas_.size()) best = LeastLoaded(now, /*live_only=*/false);
+  return std::max(0.0, replicas_[best].NextStart() - now);
+}
+
+bool PipelineBackend::Accepting(Nanoseconds now) const {
+  return config_.faults.empty() || LeastLoaded(now) != replicas_.size();
 }
 
 bool PipelineBackend::Admit(const SchedQuery& q) {
-  // Least-loaded dispatch: earliest NextStart, lowest index on ties --
-  // the same rule (and the same floating-point comparisons) as
-  // SimulateReplicatedPipelines.
-  std::size_t best = 0;
-  for (std::size_t k = 1; k < replicas_.size(); ++k) {
-    if (replicas_[k].NextStart() < replicas_[best].NextStart()) best = k;
+  const std::size_t best = LeastLoaded(q.arrival_ns);
+  if (best == replicas_.size()) return false;  // every replica down: shed
+  PipelineServer& replica = replicas_[best];
+  if (healthy_) {
+    done_.Push(q.id, replica.Admit(q.arrival_ns, q.items));
+    return true;
   }
-  done_.Push(q.id, replicas_[best].Admit(q.arrival_ns, q.items));
+
+  Nanoseconds item_latency = config_.item_latency_ns;
+  Nanoseconds interval = config_.initiation_interval_ns;
+  const Nanoseconds start = std::max(q.arrival_ns, replica.NextStart());
+  const LookupFailover& failover = config_.failover;
+  if (failover.router != nullptr) {
+    // The router re-prices the lookup round at this query's start.
+    if (!failover.router->Route(failover.lookups_per_table, start)
+             .fully_servable()) {
+      return false;  // a table lost every replica: shed
+    }
+    const Nanoseconds base = failover.router->plan().lookup_latency_ns;
+    const Nanoseconds lookup = failover.router->DegradedLookupLatency(
+        failover.lookups_per_table, *failover.platform, start);
+    item_latency = item_latency - base + lookup;
+    // A stretched lookup round stretches the pipeline's bottleneck stage:
+    // the replica initiates items more slowly, i.e. capacity drops.
+    const double capacity_factor = lookup / base;
+    if (capacity_factor > 1.0) interval *= capacity_factor;
+  }
+  // Admission control: shed instead of queueing past the bound. A shed
+  // query consumes no pipeline slot.
+  if (start - q.arrival_ns > config_.admission_queue_ns) return false;
+  // Degrade windows on the chosen replica stretch its item latency.
+  item_latency *= config_.faults.BankLatencyMultiplier(
+      static_cast<std::uint32_t>(best), q.arrival_ns);
+  done_.Push(q.id, replica.Admit(q.arrival_ns, q.items, item_latency,
+                                 interval));
   return true;
 }
 
@@ -196,8 +257,8 @@ bool HotCacheBackend::Admit(const SchedQuery& q) {
   const Nanoseconds item_latency =
       hit_fraction * config_.hit_item_latency_ns +
       (1.0 - hit_fraction) * config_.miss_item_latency_ns;
-  done_.Push(q.id,
-             pipeline_.AdmitWithLatency(q.arrival_ns, q.items, item_latency));
+  done_.Push(q.id, pipeline_.Admit(q.arrival_ns, q.items, item_latency,
+                                   config_.initiation_interval_ns));
   const double hr = cache_.stats().hit_rate();
   cost_.fixed_ns = hr * config_.hit_item_latency_ns +
                    (1.0 - hr) * config_.miss_item_latency_ns -
@@ -211,85 +272,6 @@ void HotCacheBackend::Drain(Nanoseconds now,
 }
 
 void HotCacheBackend::Finalize(std::vector<SchedCompletion>& out) {
-  done_.DrainAll(out);
-}
-
-// ---------------------------------------------------------------------------
-// DegradedPoolBackend
-// ---------------------------------------------------------------------------
-
-DegradedPoolBackend::DegradedPoolBackend(const DegradedBackendConfig& config)
-    : config_(config) {
-  MICROREC_CHECK(config.replicas >= 1);
-  MICROREC_CHECK(config.item_latency_ns > 0.0);
-  MICROREC_CHECK(config.initiation_interval_ns > 0.0);
-  cost_.fixed_ns = config.item_latency_ns - config.initiation_interval_ns;
-  cost_.per_item_ns = config.initiation_interval_ns;
-  cost_.per_lookup_ns = 0.0;
-  replicas_.assign(config.replicas,
-                   PipelineServer(config.item_latency_ns,
-                                  config.initiation_interval_ns));
-}
-
-double DegradedPoolBackend::capacity_items_per_s() const {
-  return static_cast<double>(config_.replicas) * kNanosPerSecond /
-         config_.initiation_interval_ns;
-}
-
-bool DegradedPoolBackend::Accepting(Nanoseconds now) const {
-  for (std::uint32_t k = 0; k < config_.replicas; ++k) {
-    if (config_.faults.ReplicaAlive(k, now)) return true;
-  }
-  return false;
-}
-
-Nanoseconds DegradedPoolBackend::QueueDepthNs(Nanoseconds now) const {
-  // Backlog of the least-loaded *alive* replica; falls back to the whole
-  // pool when dark (policies consult Accepting first).
-  bool any_alive = false;
-  Nanoseconds earliest = 0.0;
-  for (std::uint32_t k = 0; k < config_.replicas; ++k) {
-    if (!config_.faults.ReplicaAlive(k, now)) continue;
-    const Nanoseconds next = replicas_[k].NextStart();
-    earliest = any_alive ? std::min(earliest, next) : next;
-    any_alive = true;
-  }
-  if (!any_alive) {
-    earliest = replicas_[0].NextStart();
-    for (std::size_t k = 1; k < replicas_.size(); ++k) {
-      earliest = std::min(earliest, replicas_[k].NextStart());
-    }
-  }
-  return std::max(0.0, earliest - now);
-}
-
-bool DegradedPoolBackend::Admit(const SchedQuery& q) {
-  // Least-loaded dispatch over replicas alive at the arrival instant.
-  bool found = false;
-  std::uint32_t best = 0;
-  for (std::uint32_t k = 0; k < config_.replicas; ++k) {
-    if (!config_.faults.ReplicaAlive(k, q.arrival_ns)) continue;
-    if (!found || replicas_[k].NextStart() < replicas_[best].NextStart()) {
-      best = k;
-      found = true;
-    }
-  }
-  if (!found) return false;  // pool dark: shed
-  // Degrade windows (keyed by replica index) stretch the item latency.
-  const double multiplier =
-      config_.faults.BankLatencyMultiplier(best, q.arrival_ns);
-  done_.Push(q.id,
-             replicas_[best].AdmitWithLatency(
-                 q.arrival_ns, q.items, config_.item_latency_ns * multiplier));
-  return true;
-}
-
-void DegradedPoolBackend::Drain(Nanoseconds now,
-                                std::vector<SchedCompletion>& out) {
-  done_.DrainUntil(now, out);
-}
-
-void DegradedPoolBackend::Finalize(std::vector<SchedCompletion>& out) {
   done_.DrainAll(out);
 }
 

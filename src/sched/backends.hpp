@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -18,6 +19,7 @@
 #include "common/rng.hpp"
 #include "common/zipf.hpp"
 #include "embedding/hot_cache.hpp"
+#include "faults/failover.hpp"
 #include "faults/fault_schedule.hpp"
 #include "sched/backend.hpp"
 #include "serving/batched_server.hpp"
@@ -31,13 +33,39 @@ namespace microrec::sched {
 // back-to-back items through one replica. With one replica and single-item
 // queries this is exactly SimulatePipelinedServer; with R replicas it is
 // exactly SimulateReplicatedPipelines.
+//
+// Three optional inputs make the same pool fault-aware; each is inert at
+// its default, and with all three at their defaults Admit is the plain
+// structural admit:
+//   * Replica faults (read at arrival): a kReplicaCrash window removes a
+//     replica from dispatch, Accepting and QueueDepthNs (a dark pool
+//     sheds); a kChannelDegrade window multiplies its item latency.
+//   * Lookup failover (read at the query's start): a table with no live
+//     replica sheds the query; otherwise the router's degraded lookup
+//     latency replaces the plan's lookup_latency_ns slice of the item
+//     latency, and a round stretched by f > 1 stretches the interval by f.
+//   * An admission bound: a query that would queue longer than
+//     admission_queue_ns is shed instead of queued.
 // ---------------------------------------------------------------------------
+
+/// Channel-level failover for a pipeline pool. The router's plan is the
+/// one the pipelines serve from.
+struct LookupFailover {
+  const FailoverRouter* router = nullptr;  ///< not owned; null = healthy
+  const MemoryPlatformSpec* platform = nullptr;  ///< required with a router
+  std::uint32_t lookups_per_table = 1;
+};
 
 struct PipelineBackendConfig {
   std::string name = "fpga";
   std::uint32_t replicas = 1;
   Nanoseconds item_latency_ns = 0.0;
   Nanoseconds initiation_interval_ns = 0.0;
+  /// Replica faults, keyed by replica index (channel faults belong to the
+  /// failover router's schedule).
+  FaultSchedule faults;
+  LookupFailover failover;
+  Nanoseconds admission_queue_ns = std::numeric_limits<double>::infinity();
 };
 
 class PipelineBackend : public Backend {
@@ -48,13 +76,22 @@ class PipelineBackend : public Backend {
   const BackendCostModel& cost_model() const override { return cost_; }
   double capacity_items_per_s() const override;
   Nanoseconds QueueDepthNs(Nanoseconds now) const override;
+  bool Accepting(Nanoseconds now) const override;
   bool Admit(const SchedQuery& q) override;
   void Drain(Nanoseconds now, std::vector<SchedCompletion>& out) override;
   void Finalize(std::vector<SchedCompletion>& out) override;
 
  private:
+  /// Replica with the earliest NextStart (lowest index on ties) among
+  /// those alive at `now`, or among all of them when !live_only;
+  /// replicas_.size() when none qualifies.
+  std::size_t LeastLoaded(Nanoseconds now, bool live_only = true) const;
+
   PipelineBackendConfig config_;
   BackendCostModel cost_;
+  /// No faults, no router, no admission bound: Admit is the plain
+  /// structural admit.
+  bool healthy_ = true;
   std::vector<PipelineServer> replicas_;
   CompletionQueue done_;
 };
@@ -151,42 +188,6 @@ class HotCacheBackend : public Backend {
   EmbeddingCacheSim cache_;
   ZipfSampler zipf_;
   Rng rng_;
-  CompletionQueue done_;
-};
-
-// ---------------------------------------------------------------------------
-// DegradedPoolBackend: a replica pool driven by a FaultSchedule. A replica
-// covered by a kReplicaCrash window accepts nothing; kChannelDegrade
-// windows (keyed by replica index) multiply its item latency. When every
-// replica is down the backend stops Accepting and Admit sheds, which is
-// how fault windows become visible to scheduling policies.
-// ---------------------------------------------------------------------------
-
-struct DegradedBackendConfig {
-  std::string name = "degraded";
-  std::uint32_t replicas = 1;
-  Nanoseconds item_latency_ns = 0.0;
-  Nanoseconds initiation_interval_ns = 0.0;
-  FaultSchedule faults;
-};
-
-class DegradedPoolBackend : public Backend {
- public:
-  explicit DegradedPoolBackend(const DegradedBackendConfig& config);
-
-  std::string_view name() const override { return config_.name; }
-  const BackendCostModel& cost_model() const override { return cost_; }
-  double capacity_items_per_s() const override;
-  Nanoseconds QueueDepthNs(Nanoseconds now) const override;
-  bool Accepting(Nanoseconds now) const override;
-  bool Admit(const SchedQuery& q) override;
-  void Drain(Nanoseconds now, std::vector<SchedCompletion>& out) override;
-  void Finalize(std::vector<SchedCompletion>& out) override;
-
- private:
-  DegradedBackendConfig config_;
-  BackendCostModel cost_;
-  std::vector<PipelineServer> replicas_;
   CompletionQueue done_;
 };
 

@@ -1,6 +1,7 @@
 // The standard four-path fleet the sched-sweep CLI, bench_scheduler, and
 // tests share: one config of plain numbers expands to the pipeline, CPU,
-// hot-cache, and fault-degraded backends at fixed indices. Defaults are
+// hot-cache, and fault-degraded (a PipelineBackend given replica faults)
+// backends at fixed indices. Defaults are
 // calibrated against the repo's paper anchors (dlrm-scale item latencies,
 // the TF-Serving framework-overhead model) so a sweep at the default
 // offered load runs the accelerator path at ~75% item utilization in calm

@@ -34,7 +34,8 @@
 // FtOptions with only `base` filled in -- each query is routed once at its
 // arrival and admitted to the policy's pick unconditionally (a rejected
 // admit is a shed): the plain multi-path scheduler the sched-sweep grid,
-// the hybrid CPU-spill fleet, and the zero-intensity chaos points run.
+// the hybrid CPU-spill fleet, the zero-intensity chaos points, and the
+// one-pipeline degraded-serving fleets of fault-sweep run.
 #pragma once
 
 #include <cstdint>

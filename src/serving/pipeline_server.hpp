@@ -1,9 +1,9 @@
 // Incremental state machine of one item-streaming MicroRec pipeline.
 //
 // Every simulator that models the accelerator's deep pipeline -- the
-// single-pipeline server, the replicated scale-out dispatcher, the
-// update-aware and fault-aware simulators, and the sched/ Backend adapters
-// -- advances the same two numbers: the earliest time the next item may
+// single-pipeline server, the replicated scale-out dispatcher, and the
+// sched/ Backend adapters (fault-aware pipeline pools included) --
+// advances the same two numbers: the earliest time the next item may
 // begin (one initiation interval after the previous start) and the per-item
 // latency added on top of the start. Centralizing that arithmetic here
 // means "the same pipeline" is the same floating-point expression
@@ -36,18 +36,20 @@ class PipelineServer {
   /// items == 1 this is exactly the pre-refactor per-query arithmetic:
   /// completion = start + item latency, next start = start + interval.
   Nanoseconds Admit(Nanoseconds arrival_ns, std::uint64_t items = 1) {
-    return AdmitWithLatency(arrival_ns, items, item_latency_ns_);
+    return Admit(arrival_ns, items, item_latency_ns_, ii_ns_);
   }
 
-  /// Same streaming arithmetic with a per-call item latency. The hot-cache
-  /// and fault-degraded adapters vary the latency query by query (cache
-  /// hits, degrade windows); the initiation interval is structural and
-  /// never varies per call.
-  Nanoseconds AdmitWithLatency(Nanoseconds arrival_ns, std::uint64_t items,
-                               Nanoseconds item_latency_ns) {
+  /// Same streaming arithmetic with a per-call item latency and initiation
+  /// interval. The hot-cache and fault-aware adapters vary them query by
+  /// query (cache hits, degrade windows, a failover-stretched lookup
+  /// round).
+  Nanoseconds Admit(Nanoseconds arrival_ns, std::uint64_t items,
+                    Nanoseconds item_latency_ns,
+                    Nanoseconds initiation_interval_ns) {
     const Nanoseconds start = std::max(arrival_ns, next_start_);
-    next_start_ = start + static_cast<double>(items) * ii_ns_;
-    return start + static_cast<double>(items - 1) * ii_ns_ + item_latency_ns;
+    next_start_ = start + static_cast<double>(items) * initiation_interval_ns;
+    return start + static_cast<double>(items - 1) * initiation_interval_ns +
+           item_latency_ns;
   }
 
  private:

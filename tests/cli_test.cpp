@@ -160,6 +160,20 @@ TEST_F(CliTest, InspectMissingFileFails) {
   EXPECT_EQ(status.code(), StatusCode::kNotFound);
 }
 
+TEST_F(CliTest, InspectRejectsTableWhoseByteSizeOverflows) {
+  const std::string model_path = Path("model.txt");
+  ASSERT_TRUE(Run({"modelgen", "small", "--out", model_path}).first.ok());
+  std::string model_text = Slurp(model_path);
+  const std::string table_line = "table 0 183 ";
+  const auto pos = model_text.find(table_line);
+  ASSERT_NE(pos, std::string::npos);
+  model_text.replace(pos, table_line.size(), "table 0 18446744073709551615 ");
+  std::ofstream(model_path) << model_text;
+  auto [status, out] = Run({"inspect", model_path});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << out;
+  EXPECT_NE(status.message().find("overflow"), std::string::npos);
+}
+
 TEST_F(CliTest, SimulateRejectsBadPrecision) {
   const std::string model_path = Path("model.txt");
   ASSERT_TRUE(Run({"modelgen", "small", "--out", model_path}).first.ok());
@@ -335,6 +349,26 @@ TEST_F(CliTest, FaultSweepSmoke) {
             std::string::npos);
   EXPECT_NE(contents.str().find("\"records\""), std::string::npos);
   EXPECT_NE(contents.str().find("\"availability\""), std::string::npos);
+}
+
+TEST_F(CliTest, FaultSweepGoldenRowsPinPartialShedding) {
+  // The default sweep crosses from "everything served, deep queues" (7
+  // failed channels) into admission shedding (8 failed channels) at
+  // replication 2 and 4. These rows pin both regimes byte for byte.
+  const std::string model_path = Path("model.txt");
+  ASSERT_TRUE(Run({"modelgen", "small", "--out", model_path}).first.ok());
+  auto [status, out] = Run({"fault-sweep", model_path});
+  ASSERT_TRUE(status.ok()) << status << "\n" << out;
+  for (const char* replication : {"       2", "       4"}) {
+    for (const char* rest :
+         {"          7       100.00%   0.00%   5067.00  10898.79         -"
+          "    100.0%\n",
+          "          8        88.38%  11.62%  22399.50  30011.78    79.683"
+          "  -29055.0%\n"}) {
+      const std::string row = "\n" + std::string(replication) + rest;
+      EXPECT_NE(out.find(row), std::string::npos) << row << "\n" << out;
+    }
+  }
 }
 
 TEST_F(CliTest, SweepJsonReportsParseBackWithAQuotedModelName) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <limits>
 
 #include "common/rng.hpp"
 #include "embedding/cartesian.hpp"
@@ -40,6 +41,20 @@ TEST(TableSpecTest, ValidationRejectsDegenerateSpecs) {
   bad.element_bytes = 3;
   EXPECT_FALSE(bad.Validate().ok());
   EXPECT_TRUE(MakeSpec(0, 10, 4).Validate().ok());
+}
+
+TEST(TableSpecTest, ByteSizeOverflowSaturatesAndFailsValidation) {
+  const TableSpec huge =
+      MakeSpec(0, std::numeric_limits<std::uint64_t>::max(), 4);
+  EXPECT_EQ(huge.TotalBytes(), std::numeric_limits<Bytes>::max());
+  const Status status = huge.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("overflow"), std::string::npos);
+  // The largest row count whose byte size still fits is accepted.
+  const TableSpec largest =
+      MakeSpec(0, std::numeric_limits<std::uint64_t>::max() / 16, 4);
+  EXPECT_TRUE(largest.Validate().ok());
+  EXPECT_EQ(largest.TotalBytes(), largest.rows * 16);
 }
 
 TEST(TableSpecTest, HalfPrecisionElements) {

@@ -6,20 +6,26 @@
 //   * failover routing never silently drops a lookup -- every lookup lands
 //     on a live bank or is counted as shed;
 //   * retry backoff grows geometrically up to its cap;
-//   * zero-fault degraded serving is field-for-field identical to the
-//     fault-free simulator.
+//   * degraded serving -- a fault-aware sched::PipelineBackend run by the
+//     event-loop scheduler with its fault-tolerance layer off -- is
+//     field-for-field identical to the fault-free simulator at zero
+//     faults, and sheds only what crashes, lost tables and the admission
+//     bound force it to.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
-#include "faults/degraded_serving.hpp"
 #include "faults/failover.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/fault_schedule.hpp"
 #include "faults/retry.hpp"
 #include "memsim/hybrid_memory.hpp"
 #include "placement/replication.hpp"
+#include "sched/backends.hpp"
+#include "sched/ft_scheduler.hpp"
+#include "sched/policy.hpp"
 #include "serving/scaleout.hpp"
 #include "serving/serving_sim.hpp"
 #include "workload/model_zoo.hpp"
@@ -36,6 +42,24 @@ FaultEvent Event(FaultKind kind, Nanoseconds start, Nanoseconds end,
   e.target = target;
   e.magnitude = magnitude;
   return e;
+}
+
+/// Serves single-item queries at `arrivals` on one pipeline pool, routed
+/// by the event-loop scheduler with its fault-tolerance layer off (the
+/// shape `microrec fault-sweep` runs).
+sched::SchedReport ServeOnPool(const std::vector<Nanoseconds>& arrivals,
+                               const sched::PipelineBackendConfig& config) {
+  std::vector<sched::SchedQuery> queries;
+  for (std::uint64_t i = 0; i < arrivals.size(); ++i) {
+    queries.push_back(sched::SchedQuery{i, arrivals[i], 1, 1});
+  }
+  std::vector<std::unique_ptr<sched::Backend>> fleet;
+  fleet.push_back(std::make_unique<sched::PipelineBackend>(config));
+  const auto policy = sched::MakeStaticPolicy(0, "static:pool");
+  sched::FtOptions options;
+  options.base.sla_ns = Milliseconds(30);
+  return sched::SimulateFaultTolerantServing(queries, fleet, *policy, options)
+      .base;
 }
 
 // ---------------------------------------------------------------- Schedule
@@ -360,21 +384,19 @@ TEST(RetryPolicyTest, ValidateRejectsDegenerateValues) {
 
 TEST(DegradedServingTest, ZeroFaultIdentity) {
   const auto arrivals = PoissonArrivals(200'000.0, 2'000, 17);
-  DegradedServingConfig config;
-  config.pipeline_replicas = 2;
+  sched::PipelineBackendConfig config;
+  config.replicas = 2;
   config.item_latency_ns = Microseconds(5);
   config.initiation_interval_ns = 300.0;
-  const FaultSchedule empty;
-  const auto report =
-      SimulateDegradedServing(arrivals, config, empty).value();
+  config.admission_queue_ns = Milliseconds(30);
+  const auto report = ServeOnPool(arrivals, config);
   const auto baseline =
       SimulateReplicatedPipelines(arrivals, 2, config.item_latency_ns,
                                   config.initiation_interval_ns,
-                                  config.sla_ns)
+                                  Milliseconds(30))
           .value();
   EXPECT_EQ(report.availability, 1.0);
-  EXPECT_EQ(report.shed_unservable, 0u);
-  EXPECT_EQ(report.shed_admission, 0u);
+  EXPECT_EQ(report.shed, 0u);
   EXPECT_EQ(report.serving.p50, baseline.p50);
   EXPECT_EQ(report.serving.p95, baseline.p95);
   EXPECT_EQ(report.serving.p99, baseline.p99);
@@ -385,79 +407,79 @@ TEST(DegradedServingTest, ZeroFaultIdentity) {
 
 TEST(DegradedServingTest, AllReplicasDownShedsEverything) {
   const auto arrivals = PoissonArrivals(100'000.0, 500, 3);
-  DegradedServingConfig config;
-  config.pipeline_replicas = 1;
+  sched::PipelineBackendConfig config;
   config.item_latency_ns = Microseconds(5);
   config.initiation_interval_ns = 300.0;
-  FaultSchedule schedule;
-  ASSERT_TRUE(schedule
+  ASSERT_TRUE(config.faults
                   .Add(Event(FaultKind::kReplicaCrash, 0.0,
                              kFaultNoRecovery, 0))
                   .ok());
-  const auto report =
-      SimulateDegradedServing(arrivals, config, schedule).value();
+  const auto report = ServeOnPool(arrivals, config);
   EXPECT_EQ(report.served, 0u);
-  EXPECT_EQ(report.shed_unservable, report.offered);
+  EXPECT_EQ(report.shed, report.offered);
   EXPECT_EQ(report.availability, 0.0);
-  EXPECT_EQ(report.shed_rate, 1.0);
 }
 
 TEST(DegradedServingTest, CrashedReplicaShrinksThePoolNotTheService) {
   // One of two replicas down for the whole run: everything is still
   // served, but with half the capacity the queues -- and the tail -- grow.
   const auto arrivals = PoissonArrivals(400'000.0, 4'000, 11);
-  DegradedServingConfig config;
-  config.pipeline_replicas = 2;
-  config.item_latency_ns = Microseconds(5);
-  config.initiation_interval_ns = 400.0;
-  FaultSchedule schedule;
-  ASSERT_TRUE(schedule
+  sched::PipelineBackendConfig healthy;
+  healthy.replicas = 2;
+  healthy.item_latency_ns = Microseconds(5);
+  healthy.initiation_interval_ns = 400.0;
+  sched::PipelineBackendConfig crashed = healthy;
+  ASSERT_TRUE(crashed.faults
                   .Add(Event(FaultKind::kReplicaCrash, 0.0,
                              kFaultNoRecovery, 1))
                   .ok());
-  const auto degraded =
-      SimulateDegradedServing(arrivals, config, schedule).value();
-  const FaultSchedule empty;
-  const auto healthy =
-      SimulateDegradedServing(arrivals, config, empty).value();
+  const auto degraded = ServeOnPool(arrivals, crashed);
   EXPECT_EQ(degraded.availability, 1.0);
-  EXPECT_GT(degraded.serving.p99, healthy.serving.p99);
+  EXPECT_GT(degraded.serving.p99, ServeOnPool(arrivals, healthy).serving.p99);
 }
 
 TEST(DegradedServingTest, AdmissionControlShedsInsteadOfQueueingForever) {
-  // Offered load far above a single degraded pipeline's capacity with a
-  // tight admission bound: the simulator must shed, not build an unbounded
-  // queue, and the served tail must respect the bound.
+  // Offered load far above a single pipeline's capacity with a tight
+  // admission bound: the pool must shed, not build an unbounded queue,
+  // and the served tail must respect the bound.
   const auto arrivals = PoissonArrivals(2'000'000.0, 4'000, 5);
-  DegradedServingConfig config;
-  config.pipeline_replicas = 1;
+  sched::PipelineBackendConfig config;
   config.item_latency_ns = Microseconds(5);
   config.initiation_interval_ns = 2'000.0;  // 500 kQPS capacity
   config.admission_queue_ns = Microseconds(50);
-  const FaultSchedule empty;
-  const auto report =
-      SimulateDegradedServing(arrivals, config, empty).value();
-  EXPECT_GT(report.shed_admission, 0u);
+  const auto report = ServeOnPool(arrivals, config);
+  EXPECT_GT(report.shed, 0u);
   EXPECT_LT(report.availability, 1.0);
   EXPECT_LE(report.serving.max,
             config.admission_queue_ns + config.item_latency_ns + 1.0);
 }
 
-TEST(DegradedServingTest, RejectsDegenerateInputs) {
-  const FaultSchedule empty;
-  DegradedServingConfig config;
-  config.item_latency_ns = Microseconds(5);
+TEST_F(FailoverTest, PipelinePoolShedsLostTablesAndSlowsOnStretchedRounds) {
+  const auto arrivals = PoissonArrivals(100'000.0, 1'000, 7);
+  sched::PipelineBackendConfig config;
+  config.item_latency_ns = Microseconds(5) + plan_.lookup_latency_ns;
   config.initiation_interval_ns = 300.0;
-  EXPECT_FALSE(SimulateDegradedServing({}, config, empty).ok());
-  EXPECT_FALSE(
-      SimulateDegradedServing({10.0, 5.0}, config, empty).ok());
-  DegradedServingConfig zero_replicas = config;
-  zero_replicas.pipeline_replicas = 0;
-  EXPECT_FALSE(
-      SimulateDegradedServing({0.0}, zero_replicas, empty).ok());
-  DegradedServingConfig bad_latency = config;
-  bad_latency.item_latency_ns = 0.0;
-  EXPECT_FALSE(SimulateDegradedServing({0.0}, bad_latency, empty).ok());
+  const auto healthy = ServeOnPool(arrivals, config);
+  ASSERT_EQ(healthy.availability, 1.0);
+
+  // Every replica of table 0 dead: no query is servable.
+  const FaultSchedule lost_table =
+      FaultSchedule::FailChannels(plan_.tables[0].banks);
+  const FailoverRouter lost_router(&plan_, &lost_table);
+  config.failover = {&lost_router, &platform_, model_.lookups_per_table};
+  const auto lost = ServeOnPool(arrivals, config);
+  EXPECT_EQ(lost.served, 0u);
+  EXPECT_EQ(lost.shed, lost.offered);
+
+  // One replica of table 0 dead: the survivor absorbs its lookups in a
+  // longer round, so everything is served, more slowly.
+  const FaultSchedule one_dead =
+      FaultSchedule::FailChannels({plan_.tables[0].banks[0]});
+  const FailoverRouter one_dead_router(&plan_, &one_dead);
+  config.failover.router = &one_dead_router;
+  const auto stretched = ServeOnPool(arrivals, config);
+  EXPECT_EQ(stretched.availability, 1.0);
+  EXPECT_GT(stretched.serving.p50, healthy.serving.p50);
 }
 
 }  // namespace

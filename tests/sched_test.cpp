@@ -291,8 +291,8 @@ TEST(SchedBackendTest, DrainSurfacesOnlyElapsedCompletionsInOrder) {
   EXPECT_EQ(early.size() + rest.size(), 10u);
 }
 
-TEST(SchedBackendTest, DegradedPoolShedsOnlyWhileEveryReplicaIsDown) {
-  DegradedBackendConfig config;
+TEST(SchedBackendTest, PipelinePoolShedsOnlyWhileEveryReplicaIsDown) {
+  PipelineBackendConfig config;
   config.replicas = 2;
   config.item_latency_ns = 1'000.0;
   config.initiation_interval_ns = 100.0;
@@ -307,7 +307,7 @@ TEST(SchedBackendTest, DegradedPoolShedsOnlyWhileEveryReplicaIsDown) {
   crash1.end_ns = 4'000.0;
   ASSERT_TRUE(config.faults.Add(crash0).ok());
   ASSERT_TRUE(config.faults.Add(crash1).ok());
-  DegradedPoolBackend backend(config);
+  PipelineBackend backend(config);
 
   EXPECT_TRUE(backend.Accepting(0.0));    // both up
   EXPECT_TRUE(backend.Accepting(1'500.0));  // replica 1 still up
@@ -320,6 +320,33 @@ TEST(SchedBackendTest, DegradedPoolShedsOnlyWhileEveryReplicaIsDown) {
   std::vector<SchedCompletion> done;
   backend.Finalize(done);
   EXPECT_EQ(done.size(), 2u);  // the shed query never completes
+}
+
+TEST(SchedBackendTest, PipelinePoolDegradeWindowStretchesItemLatency) {
+  // A kChannelDegrade window keyed by replica index multiplies that
+  // replica's item latency, read at the query's arrival; the initiation
+  // interval (capacity) is untouched.
+  PipelineBackendConfig config;
+  config.item_latency_ns = 1'000.0;
+  config.initiation_interval_ns = 100.0;
+  FaultEvent slow;
+  slow.kind = FaultKind::kChannelDegrade;
+  slow.target = 0;
+  slow.start_ns = 0.0;
+  slow.end_ns = 500.0;
+  slow.magnitude = 2.5;
+  ASSERT_TRUE(config.faults.Add(slow).ok());
+  PipelineBackend backend(config);
+  EXPECT_TRUE(backend.Accepting(0.0));
+  ASSERT_TRUE(backend.Admit(SchedQuery{0, 0.0, 1, 1}));    // in the window
+  ASSERT_TRUE(backend.Admit(SchedQuery{1, 600.0, 1, 1}));  // after it
+  std::vector<SchedCompletion> done;
+  backend.Finalize(done);
+  ASSERT_EQ(done.size(), 2u);  // sorted by completion time
+  EXPECT_EQ(done[0].query_id, 1u);
+  EXPECT_EQ(done[0].completion_ns, 1'600.0);
+  EXPECT_EQ(done[1].query_id, 0u);
+  EXPECT_EQ(done[1].completion_ns, 2'500.0);
 }
 
 TEST(SchedBackendTest, HotCacheWarmsUpAndRefinesItsCostModel) {

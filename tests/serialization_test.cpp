@@ -70,6 +70,16 @@ TEST(ModelSerializationTest, RejectsInvalidTable) {
   EXPECT_FALSE(result.ok());  // zero rows
 }
 
+TEST(ModelSerializationTest, RejectsTableWhoseByteSizeOverflows) {
+  // 2^64 - 1 rows of 16 bytes would wrap a 64-bit byte count to a small,
+  // plausible-looking storage size.
+  const auto result = ParseModel(
+      "microrec-model v1\nmlp 4 16\ntable 0 18446744073709551615 4 4 huge\n");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("overflow"), std::string::npos);
+}
+
 TEST(ModelSerializationTest, RejectsEmptyInput) {
   EXPECT_FALSE(ParseModel("").ok());
   EXPECT_FALSE(ParseModel("# only comments\n").ok());
