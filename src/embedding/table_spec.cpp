@@ -16,6 +16,11 @@ std::uint64_t SaturatingMul(std::uint64_t a, std::uint64_t b) {
   return a * b;
 }
 
+/// a + b, or uint64 max when the sum overflows.
+std::uint64_t SaturatingAdd(std::uint64_t a, std::uint64_t b) {
+  return a > kSaturated - b ? kSaturated : a + b;
+}
+
 }  // namespace
 
 Bytes TableSpec::TotalBytes() const {
@@ -114,13 +119,13 @@ std::string CombinedTable::DebugName() const {
 
 Bytes TotalStorage(const std::vector<TableSpec>& tables) {
   Bytes total = 0;
-  for (const auto& t : tables) total += t.TotalBytes();
+  for (const auto& t : tables) total = SaturatingAdd(total, t.TotalBytes());
   return total;
 }
 
 Bytes TotalStorage(const std::vector<CombinedTable>& tables) {
   Bytes total = 0;
-  for (const auto& t : tables) total += t.TotalBytes();
+  for (const auto& t : tables) total = SaturatingAdd(total, t.TotalBytes());
   return total;
 }
 

@@ -83,7 +83,8 @@ class CombinedTable {
   std::vector<TableSpec> members_;
 };
 
-/// Sum of virtual storage across a whole model's tables.
+/// Sum of virtual storage across a whole model's tables (saturates at
+/// uint64 max; RecModelSpec::Validate rejects a model whose total does).
 Bytes TotalStorage(const std::vector<TableSpec>& tables);
 Bytes TotalStorage(const std::vector<CombinedTable>& tables);
 

@@ -4,7 +4,6 @@
 
 #include "obs/prof/profiler.hpp"
 #include "tensor/activations.hpp"
-#include "tensor/gemm.hpp"
 
 namespace microrec {
 
@@ -62,6 +61,7 @@ MlpModel MlpModel::Create(const MlpSpec& spec, std::uint64_t seed) {
     }
     std::vector<float> b(out);
     for (float& v : b) v = static_cast<float>(rng.NextGaussian()) * 0.01f;
+    if (CpuSupportsAvx2()) model.panels_.emplace_back(w);
     model.weights_.push_back(std::move(w));
     model.biases_.push_back(std::move(b));
   }
@@ -93,8 +93,12 @@ float MlpModel::ForwardOne(std::span<const float> input, MlpScratch& scratch,
     for (std::size_t i = 0; i < weights_.size(); ++i) {
       MatrixF& next = *bufs[i % 2];
       next.ResizeUninit(1, spec_.hidden[i]);
-      GemvAutoEx(activ, weights_[i], next.row(0),
-                 {.bias = biases_[i], .relu = true});
+      const GemmEpilogue ep{.bias = biases_[i], .relu = true};
+      if (panels_.empty()) {
+        GemvEx(activ, weights_[i], next.row(0), ep);
+      } else {
+        GemvAvx2Ex(activ, panels_[i], next.row(0), ep);
+      }
       activ = next.row(0);
     }
   }
@@ -148,8 +152,12 @@ void MlpModel::ForwardBatch(const MatrixF& inputs, MlpScratch& scratch,
     obs::prof::ProfScope scope(prof, "gemm");
     for (std::size_t i = 0; i < weights_.size(); ++i) {
       MatrixF& next = *bufs[i % 2];
-      GemmAutoEx(*activ, weights_[i], next,
-                 {.bias = biases_[i], .relu = true});
+      const GemmEpilogue ep{.bias = biases_[i], .relu = true};
+      if (panels_.empty()) {
+        GemmBlockedEx(*activ, weights_[i], next, ep);
+      } else {
+        GemmAvx2Ex(*activ, panels_[i], next, ep);
+      }
       activ = &next;
     }
   }

@@ -13,6 +13,7 @@
 
 #include "common/rng.hpp"
 #include "common/status.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/matrix.hpp"
 
 namespace microrec {
@@ -52,7 +53,9 @@ class MlpModel {
 
   const MlpSpec& spec() const { return spec_; }
 
-  /// Weight matrix of hidden layer i, shape [in_dim x out_dim].
+  /// Weight matrix of hidden layer i, shape [in_dim x out_dim]: the
+  /// canonical row-major copy (reference path, calibration, quantisation,
+  /// the non-AVX2 fallback).
   const MatrixF& weights(std::size_t i) const { return weights_[i]; }
   std::span<const float> biases(std::size_t i) const { return biases_[i]; }
   /// Head weights, shape [last_hidden x 1], and scalar head bias.
@@ -66,10 +69,11 @@ class MlpModel {
 
   /// Single-item forward through caller-held scratch (the batch-1 latency
   /// path): vectorized GEMV with fused bias+ReLU, zero allocations in
-  /// steady state. Bit-identical to Forward. `prof`, when non-null,
-  /// attributes the FC layers to the "gemm" phase and the head dot +
-  /// sigmoid to "head_sigmoid" (hardware counters + declared work); it
-  /// never changes the computation.
+  /// steady state. Bit-identical to Forward and to the matching row of
+  /// ForwardBatch (both take one p-ascending accumulator per output).
+  /// `prof`, when non-null, attributes the FC layers to the "gemm" phase
+  /// and the head dot + sigmoid to "head_sigmoid" (hardware counters +
+  /// declared work); it never changes the computation.
   float ForwardOne(std::span<const float> input, MlpScratch& scratch,
                    obs::prof::HwProfiler* prof = nullptr) const;
 
@@ -97,6 +101,9 @@ class MlpModel {
 
   MlpSpec spec_;
   std::vector<MatrixF> weights_;           // [in x out] per hidden layer
+  // weights_ packed for the AVX2 kernels, built once in Create; empty on a
+  // host without AVX2, where the forward passes take the scalar kernels.
+  std::vector<PanelMatrix> panels_;
   std::vector<std::vector<float>> biases_; // per hidden layer
   MatrixF head_weights_;                   // [last_hidden x 1]
   float head_bias_ = 0.0f;

@@ -80,6 +80,17 @@ void GemmBlocked(const MatrixF& a, const MatrixF& b, MatrixF& c) {
   GemmBlockedEx(a, b, c, {});
 }
 
+PanelMatrix::PanelMatrix(const MatrixF& b) : rows_(b.rows()), cols_(b.cols()) {
+  data_.Resize(panels() * rows_, kWidth);  // zero: the padding columns
+  for (std::size_t q = 0; q < panels(); ++q) {
+    const std::size_t j = q * kWidth;
+    for (std::size_t p = 0; p < rows_; ++p) {
+      std::copy_n(b.data() + p * cols_ + j, std::min(kWidth, cols_ - j),
+                  data_.data() + (q * rows_ + p) * kWidth);
+    }
+  }
+}
+
 bool CpuSupportsAvx2() {
   static const bool supported =
       __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -89,7 +100,7 @@ bool CpuSupportsAvx2() {
 void GemmAutoEx(const MatrixF& a, const MatrixF& b, MatrixF& c,
                 const GemmEpilogue& epilogue) {
   if (CpuSupportsAvx2()) {
-    GemmAvx2Ex(a, b, c, epilogue);
+    GemmAvx2Ex(a, PanelMatrix(b), c, epilogue);
   } else {
     GemmBlockedEx(a, b, c, epilogue);
   }
@@ -126,15 +137,6 @@ void GemvEx(std::span<const float> x, const MatrixF& b, std::span<float> y,
 
 void Gemv(std::span<const float> x, const MatrixF& b, std::span<float> y) {
   GemvEx(x, b, y, {});
-}
-
-void GemvAutoEx(std::span<const float> x, const MatrixF& b,
-                std::span<float> y, const GemmEpilogue& epilogue) {
-  if (CpuSupportsAvx2()) {
-    GemvAvx2Ex(x, b, y, epilogue);
-  } else {
-    GemvEx(x, b, y, epilogue);
-  }
 }
 
 float FmaProbeKernelScalar(std::size_t iters) {

@@ -1,21 +1,32 @@
 // AVX2+FMA GEMM/GEMV kernels (compiled with -mavx2 -mfma for this file
-// only; callers reach them through the GemmAuto/GemvAuto runtime dispatch).
-// The paper's CPU baseline is "AVX2 FMA supported", so the measured
-// baseline vectorizes too.
+// only; callers reach them through CpuSupportsAvx2() dispatch). The
+// paper's CPU baseline is "AVX2 FMA supported", so the measured baseline
+// vectorizes too.
 //
-// The GEMM keeps a 6-row x 16-column accumulator tile (12 ymm registers)
-// live across the entire k dimension and writes each C element exactly
-// once, with the bias+ReLU epilogue applied in registers at write-back.
-// Compared to a k-blocked kernel that streams C through memory on every
-// k-block, this trades 2 loads + 1 store per FMA for 8 loads per 12 FMAs,
-// moving the kernel from load-port-bound to FMA-bound. The j-loop is
-// outermost so one k x 16 B-panel stays L2-resident while every row block
-// of A streams past it.
+// One microkernel, Tile16<MR>, computes an MR-row x 16-column tile of C
+// (MR = 1..6, two ymm accumulators per row) over one 16-column panel of B
+// (PanelMatrix): it keeps the tile live across the entire k dimension and
+// writes each C element exactly once, with the bias+ReLU epilogue applied
+// in registers at write-back. Compared to a k-blocked kernel that streams
+// C through memory on every k-block, this trades 2 loads + 1 store per FMA
+// for 8 loads per 12 FMAs, moving the kernel from load-port-bound to
+// FMA-bound. The row-block loop is outermost: an MR x k block of A (at
+// most 24 KiB at k = 1024) stays L1-resident while every panel streams
+// past it, each panel one sequential run of k cache lines. The batch-1
+// GEMV is the same kernel at MR = 1.
+//
+// Why panels: on row-major B, a 16-column strip is read with a stride of
+// n*4 bytes (4 KiB at n = 1024), so all k lines of the strip land in one
+// to four of L1D's 64 sets and cross a 4-KiB page every row or two. The
+// batched GEMM hides that behind MR rows of reuse per load; the GEMV has
+// no reuse and was bound by it. Packed, each panel is a contiguous stream
+// the hardware prefetcher follows.
 //
 // Accumulation order per element is p-ascending with a single FMA
-// accumulator, for every tile width, so results are independent of m/n
-// remainders; vs. the scalar kernels the only difference is FMA's single
-// rounding (the ULP bound property-tested in tensor_test).
+// accumulator, whatever the tile's row count or the panel's width, so
+// results are independent of m/n remainders and bit-identical to a
+// p-ascending std::fma loop; vs. the scalar kernels the only difference is
+// FMA's single rounding (the bound property-tested in tensor_test).
 #include <immintrin.h>
 
 #include <algorithm>
@@ -27,11 +38,12 @@ namespace microrec {
 
 namespace {
 
-/// Load mask with the low `lanes` lanes enabled (lanes in [1, 7]).
+/// Mask with the low `lanes` lanes enabled (lanes in [0, 8]).
 inline __m256i LaneMask(std::size_t lanes) {
-  alignas(32) std::int32_t bits[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  for (std::size_t i = 0; i < lanes; ++i) bits[i] = -1;
-  return _mm256_load_si256(reinterpret_cast<const __m256i*>(bits));
+  static const std::int32_t kBits[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                         0,  0,  0,  0,  0,  0,  0,  0};
+  return _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kBits + 8 - lanes));
 }
 
 struct EpilogueCtx {
@@ -39,180 +51,100 @@ struct EpilogueCtx {
   bool relu = false;
 };
 
-/// Applies the epilogue to one in-register vector holding columns
-/// [j, j+8) of the output.
-inline __m256 ApplyEpilogue(__m256 v, const EpilogueCtx& ep, std::size_t j) {
-  if (ep.bias != nullptr) v = _mm256_add_ps(v, _mm256_loadu_ps(ep.bias + j));
-  if (ep.relu) v = _mm256_max_ps(v, _mm256_setzero_ps());
-  return v;
+/// Applies the epilogue to `v`, holding columns [j, j + lanes) of a C row,
+/// and stores those lanes to `c` (lanes in [0, 8]).
+inline void StoreCols(float* c, __m256 v, const EpilogueCtx& ep,
+                      std::size_t j, std::size_t lanes) {
+  if (lanes == 8) {
+    if (ep.bias != nullptr) {
+      v = _mm256_add_ps(v, _mm256_loadu_ps(ep.bias + j));
+    }
+    if (ep.relu) v = _mm256_max_ps(v, _mm256_setzero_ps());
+    _mm256_storeu_ps(c, v);
+  } else if (lanes > 0) {
+    const __m256i mask = LaneMask(lanes);
+    if (ep.bias != nullptr) {
+      v = _mm256_add_ps(v, _mm256_maskload_ps(ep.bias + j, mask));
+    }
+    if (ep.relu) v = _mm256_max_ps(v, _mm256_setzero_ps());
+    _mm256_maskstore_ps(c, mask, v);
+  }
 }
 
-/// mr x 16 micro-kernel: full-k accumulation in registers, one write-back.
+/// MR x 16 microkernel over one panel: full-k accumulation in registers,
+/// then columns [j, j + lanes) of C's MR rows written once (lanes in
+/// [1, 16]; only the last panel is narrower than 16).
 template <int MR>
-inline void Tile16(const float* a, std::size_t lda, const float* b,
-                   std::size_t ldb, std::size_t k, float* c, std::size_t ldc,
-                   std::size_t j, const EpilogueCtx& ep) {
+inline void Tile16(const float* a, std::size_t lda, const float* panel,
+                   std::size_t k, float* c, std::size_t ldc, std::size_t j,
+                   std::size_t lanes, const EpilogueCtx& ep) {
   __m256 acc0[MR], acc1[MR];
   for (int r = 0; r < MR; ++r) {
     acc0[r] = _mm256_setzero_ps();
     acc1[r] = _mm256_setzero_ps();
   }
-  const float* bp = b + j;
-  for (std::size_t p = 0; p < k; ++p, bp += ldb) {
-    const __m256 b0 = _mm256_loadu_ps(bp);
-    const __m256 b1 = _mm256_loadu_ps(bp + 8);
+  const float* bp = panel;
+  for (std::size_t p = 0; p < k; ++p, bp += PanelMatrix::kWidth) {
+    const __m256 b0 = _mm256_load_ps(bp);
+    const __m256 b1 = _mm256_load_ps(bp + 8);
     for (int r = 0; r < MR; ++r) {
       const __m256 av = _mm256_broadcast_ss(a + r * lda + p);
       acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
       acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
     }
   }
+  const std::size_t lo = std::min<std::size_t>(lanes, 8);
   for (int r = 0; r < MR; ++r) {
-    _mm256_storeu_ps(c + r * ldc + j, ApplyEpilogue(acc0[r], ep, j));
-    _mm256_storeu_ps(c + r * ldc + j + 8, ApplyEpilogue(acc1[r], ep, j + 8));
+    float* crow = c + r * ldc + j;
+    StoreCols(crow, acc0[r], ep, j, lo);
+    StoreCols(crow + 8, acc1[r], ep, j + 8, lanes - lo);
   }
 }
 
-/// mr x 8 micro-kernel for the 8 <= remainder < 16 column tail.
+/// C rows [0, m) in blocks of MR rows over every panel of B; the last
+/// m % MR rows go to the next-smaller instantiation.
 template <int MR>
-inline void Tile8(const float* a, std::size_t lda, const float* b,
-                  std::size_t ldb, std::size_t k, float* c, std::size_t ldc,
-                  std::size_t j, const EpilogueCtx& ep) {
-  __m256 acc[MR];
-  for (int r = 0; r < MR; ++r) acc[r] = _mm256_setzero_ps();
-  const float* bp = b + j;
-  for (std::size_t p = 0; p < k; ++p, bp += ldb) {
-    const __m256 b0 = _mm256_loadu_ps(bp);
-    for (int r = 0; r < MR; ++r) {
-      acc[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(a + r * lda + p), b0,
-                               acc[r]);
+void PanelGemm(const float* a, std::size_t lda, std::size_t m,
+               const PanelMatrix& b, float* c, std::size_t ldc,
+               const EpilogueCtx& ep) {
+  const std::size_t k = b.rows(), n = b.cols();
+  std::size_t i = 0;
+  for (; i + MR <= m; i += MR) {
+    for (std::size_t q = 0; q < b.panels(); ++q) {
+      const std::size_t j = q * PanelMatrix::kWidth;
+      Tile16<MR>(a + i * lda, lda, b.panel(q), k, c + i * ldc, ldc, j,
+                 std::min(PanelMatrix::kWidth, n - j), ep);
     }
   }
-  for (int r = 0; r < MR; ++r) {
-    _mm256_storeu_ps(c + r * ldc + j, ApplyEpilogue(acc[r], ep, j));
-  }
-}
-
-/// mr x (1..7) masked micro-kernel for the final column tail. The masked
-/// B loads keep the kernel in-bounds on the last row of B.
-template <int MR>
-inline void TileTail(const float* a, std::size_t lda, const float* b,
-                     std::size_t ldb, std::size_t k, float* c,
-                     std::size_t ldc, std::size_t j, std::size_t lanes,
-                     const EpilogueCtx& ep) {
-  const __m256i mask = LaneMask(lanes);
-  __m256 acc[MR];
-  for (int r = 0; r < MR; ++r) acc[r] = _mm256_setzero_ps();
-  const float* bp = b + j;
-  for (std::size_t p = 0; p < k; ++p, bp += ldb) {
-    const __m256 b0 = _mm256_maskload_ps(bp, mask);
-    for (int r = 0; r < MR; ++r) {
-      acc[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(a + r * lda + p), b0,
-                               acc[r]);
+  if constexpr (MR > 1) {
+    if (i < m) {
+      PanelGemm<MR - 1>(a + i * lda, lda, m - i, b, c + i * ldc, ldc, ep);
     }
   }
-  for (int r = 0; r < MR; ++r) {
-    __m256 v = acc[r];
-    if (ep.bias != nullptr) {
-      v = _mm256_add_ps(v, _mm256_maskload_ps(ep.bias + j, mask));
-    }
-    if (ep.relu) v = _mm256_max_ps(v, _mm256_setzero_ps());
-    _mm256_maskstore_ps(c + r * ldc + j, mask, v);
-  }
 }
 
-/// One block of up to 6 rows starting at row i: all column tiles.
-template <int MR>
-void RowBlock(const float* a, std::size_t lda, const float* b,
-              std::size_t ldb, std::size_t k, float* c, std::size_t ldc,
-              std::size_t n, const EpilogueCtx& ep) {
-  std::size_t j = 0;
-  for (; j + 16 <= n; j += 16) Tile16<MR>(a, lda, b, ldb, k, c, ldc, j, ep);
-  if (j + 8 <= n) {
-    Tile8<MR>(a, lda, b, ldb, k, c, ldc, j, ep);
-    j += 8;
-  }
-  if (j < n) TileTail<MR>(a, lda, b, ldb, k, c, ldc, j, n - j, ep);
+EpilogueCtx MakeEpilogueCtx(const GemmEpilogue& epilogue, std::size_t n) {
+  MICROREC_CHECK(epilogue.bias.empty() || epilogue.bias.size() == n);
+  return {epilogue.bias.empty() ? nullptr : epilogue.bias.data(),
+          epilogue.relu};
 }
-
-using RowBlockFn = void (*)(const float*, std::size_t, const float*,
-                            std::size_t, std::size_t, float*, std::size_t,
-                            std::size_t, const EpilogueCtx&);
-
-constexpr RowBlockFn kRowBlock[6] = {RowBlock<1>, RowBlock<2>, RowBlock<3>,
-                                     RowBlock<4>, RowBlock<5>, RowBlock<6>};
 
 }  // namespace
 
-void GemmAvx2Ex(const MatrixF& a, const MatrixF& b, MatrixF& c,
+void GemmAvx2Ex(const MatrixF& a, const PanelMatrix& b, MatrixF& c,
                 const GemmEpilogue& epilogue) {
   MICROREC_CHECK(a.cols() == b.rows());
-  MICROREC_CHECK(epilogue.bias.empty() || epilogue.bias.size() == b.cols());
+  const EpilogueCtx ep = MakeEpilogueCtx(epilogue, b.cols());
   c.ResizeUninit(a.rows(), b.cols());  // every element written exactly once
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  if (m == 0 || n == 0) return;
-  const EpilogueCtx ep{epilogue.bias.empty() ? nullptr : epilogue.bias.data(),
-                       epilogue.relu};
-  constexpr std::size_t kMR = 6;
-  for (std::size_t i = 0; i < m; i += kMR) {
-    const std::size_t mr = std::min(kMR, m - i);
-    kRowBlock[mr - 1](a.data() + i * k, k, b.data(), n, k,
-                      c.data() + i * n, n, n, ep);
-  }
+  PanelGemm<6>(a.data(), a.cols(), a.rows(), b, c.data(), b.cols(), ep);
 }
 
-void GemmAvx2(const MatrixF& a, const MatrixF& b, MatrixF& c) {
-  GemmAvx2Ex(a, b, c, {});
-}
-
-void GemvAvx2Ex(std::span<const float> x, const MatrixF& b,
+void GemvAvx2Ex(std::span<const float> x, const PanelMatrix& b,
                 std::span<float> y, const GemmEpilogue& epilogue) {
   MICROREC_CHECK(x.size() == b.rows());
   MICROREC_CHECK(y.size() == b.cols());
-  MICROREC_CHECK(epilogue.bias.empty() || epilogue.bias.size() == b.cols());
-  const std::size_t k = b.rows(), n = b.cols();
-  const EpilogueCtx ep{epilogue.bias.empty() ? nullptr : epilogue.bias.data(),
-                       epilogue.relu};
-  // Column blocks of 16 with two register accumulators over the full k:
-  // B is streamed exactly once and y written exactly once.
-  std::size_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    __m256 acc0 = _mm256_setzero_ps();
-    __m256 acc1 = _mm256_setzero_ps();
-    const float* bp = b.data() + j;
-    for (std::size_t p = 0; p < k; ++p, bp += n) {
-      const __m256 xv = _mm256_broadcast_ss(x.data() + p);
-      acc0 = _mm256_fmadd_ps(xv, _mm256_loadu_ps(bp), acc0);
-      acc1 = _mm256_fmadd_ps(xv, _mm256_loadu_ps(bp + 8), acc1);
-    }
-    _mm256_storeu_ps(y.data() + j, ApplyEpilogue(acc0, ep, j));
-    _mm256_storeu_ps(y.data() + j + 8, ApplyEpilogue(acc1, ep, j + 8));
-  }
-  if (j + 8 <= n) {
-    __m256 acc = _mm256_setzero_ps();
-    const float* bp = b.data() + j;
-    for (std::size_t p = 0; p < k; ++p, bp += n) {
-      acc = _mm256_fmadd_ps(_mm256_broadcast_ss(x.data() + p),
-                            _mm256_loadu_ps(bp), acc);
-    }
-    _mm256_storeu_ps(y.data() + j, ApplyEpilogue(acc, ep, j));
-    j += 8;
-  }
-  if (j < n) {
-    const __m256i mask = LaneMask(n - j);
-    __m256 acc = _mm256_setzero_ps();
-    const float* bp = b.data() + j;
-    for (std::size_t p = 0; p < k; ++p, bp += n) {
-      acc = _mm256_fmadd_ps(_mm256_broadcast_ss(x.data() + p),
-                            _mm256_maskload_ps(bp, mask), acc);
-    }
-    __m256 v = acc;
-    if (ep.bias != nullptr) {
-      v = _mm256_add_ps(v, _mm256_maskload_ps(ep.bias + j, mask));
-    }
-    if (ep.relu) v = _mm256_max_ps(v, _mm256_setzero_ps());
-    _mm256_maskstore_ps(y.data() + j, mask, v);
-  }
+  PanelGemm<1>(x.data(), 0, 1, b, y.data(), 0,
+               MakeEpilogueCtx(epilogue, b.cols()));
 }
 
 float FmaProbeKernelAvx2(std::size_t iters) {

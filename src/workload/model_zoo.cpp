@@ -1,6 +1,7 @@
 #include "workload/model_zoo.hpp"
 
 #include <cmath>
+#include <limits>
 
 namespace microrec {
 
@@ -42,6 +43,10 @@ std::uint32_t RecModelSpec::FeatureLength() const {
 Status RecModelSpec::Validate() const {
   if (tables.empty()) return Status::InvalidArgument(name + ": no tables");
   for (const auto& t : tables) MICROREC_RETURN_IF_ERROR(t.Validate());
+  if (TotalStorage(tables) == std::numeric_limits<Bytes>::max()) {
+    return Status::InvalidArgument(
+        name + ": total table storage overflows a 64-bit byte count");
+  }
   MICROREC_RETURN_IF_ERROR(mlp.Validate());
   if (mlp.input_dim != FeatureLength()) {
     return Status::FailedPrecondition(

@@ -39,6 +39,9 @@ struct RecModelSpec {
 
   std::uint32_t FeatureLength() const;  ///< sum of table dims
   Bytes TotalEmbeddingBytes() const { return TotalStorage(tables); }
+  /// OK iff every table and the MLP are valid, the total table storage
+  /// fits in uint64, the MLP input dim is the feature length and
+  /// lookups_per_table >= 1.
   Status Validate() const;
 };
 

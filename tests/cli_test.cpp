@@ -174,6 +174,25 @@ TEST_F(CliTest, InspectRejectsTableWhoseByteSizeOverflows) {
   EXPECT_NE(status.message().find("overflow"), std::string::npos);
 }
 
+TEST_F(CliTest, InspectRejectsModelWhoseTotalByteSizeOverflows) {
+  const std::string model_path = Path("model.txt");
+  ASSERT_TRUE(Run({"modelgen", "small", "--out", model_path}).first.ok());
+  std::string model_text = Slurp(model_path);
+  // Tables 0 and 1 each get 2^59 rows x 16 B: valid alone, but their 2^64
+  // bytes wrap a 64-bit total to the rest of the model's size.
+  for (const std::string table_line : {"table 0 183 ", "table 1 228 "}) {
+    const auto pos = model_text.find(table_line);
+    ASSERT_NE(pos, std::string::npos) << table_line;
+    model_text.replace(pos, table_line.size(),
+                       table_line.substr(0, 8) + "576460752303423488 ");
+  }
+  std::ofstream(model_path) << model_text;
+  auto [status, out] = Run({"inspect", model_path});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << out;
+  EXPECT_NE(status.message().find("overflow"), std::string::npos);
+  EXPECT_EQ(out.find("embeddings"), std::string::npos) << out;
+}
+
 TEST_F(CliTest, SimulateRejectsBadPrecision) {
   const std::string model_path = Path("model.txt");
   ASSERT_TRUE(Run({"modelgen", "small", "--out", model_path}).first.ok());

@@ -2,9 +2,13 @@
 // published baseline anchor numbers.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "cpu/cpu_engine.hpp"
 #include "cpu/overhead_model.hpp"
 #include "cpu/paper_baseline.hpp"
+#include "tensor/gemm.hpp"
 #include "workload/model_zoo.hpp"
 #include "workload/query_gen.hpp"
 
@@ -219,6 +223,52 @@ TEST(CpuEngineTest, MultithreadedMatchesSingleThreaded) {
   const auto b = four.InferBatch(queries);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+}
+
+/// A float's exact bits as C99 hex-float text, so a mismatch prints both.
+std::string HexFloat(float v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%a", static_cast<double>(v));
+  return buf;
+}
+
+struct PinnedOutputs {
+  RecModelSpec model;
+  const char* batch[4];  ///< InferBatch probabilities of queries 0, 3, 6, 7
+  const char* one[2];    ///< InferOne probabilities of queries 0 and 7
+};
+
+// Golden output bits of the AVX2 engine. Any change to the kernels' per-
+// element accumulation order, the gather's pooling order or the head shows
+// up here; a pure layout or scheduling change must leave every bit as is.
+// Batch 8 runs one 6-row GEMM block and one 2-row remainder block.
+TEST(CpuEngineTest, Avx2OutputBitsArePinned) {
+  if (!CpuSupportsAvx2()) GTEST_SKIP() << "host lacks AVX2/FMA";
+  const PinnedOutputs cases[] = {
+      {PooledCpuGateModel(),
+       {"0x1.145f46p-1", "0x1.28a5dep-1", "0x1.feef32p-2", "0x1.18b6bap-1"},
+       {"0x1.145f46p-1", "0x1.18b6bap-1"}},
+      {SmallProductionModel(),
+       {"0x1.e4c0e4p-2", "0x1.f0fbf4p-2", "0x1.ed857ep-2", "0x1.ee21fcp-2"},
+       {"0x1.e4c0e4p-2", "0x1.ee21fcp-2"}},
+  };
+  for (const PinnedOutputs& c : cases) {
+    SCOPED_TRACE(c.model.name);
+    CpuEngine engine(c.model, /*max_physical_rows=*/1 << 10);
+    QueryGenerator gen(c.model, IndexDistribution::kZipf, 5);
+    const auto queries = gen.NextBatch(8);
+    const auto probs = engine.InferBatch(queries);
+    const std::size_t batch_ids[] = {0, 3, 6, 7};
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(HexFloat(probs[batch_ids[i]]), c.batch[i])
+          << "InferBatch query " << batch_ids[i];
+    }
+    const std::size_t one_ids[] = {0, 7};
+    for (std::size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(HexFloat(engine.InferOne(queries[one_ids[i]])), c.one[i])
+          << "InferOne query " << one_ids[i];
+    }
+  }
 }
 
 // ------------------------------------------------------ Paper anchors

@@ -57,6 +57,20 @@ TEST(TableSpecTest, ByteSizeOverflowSaturatesAndFailsValidation) {
   EXPECT_EQ(largest.TotalBytes(), largest.rows * 16);
 }
 
+TEST(TableSpecTest, TotalStorageSaturatesInsteadOfWrapping) {
+  // Each table's 2^63 bytes fits; their sum does not.
+  const std::vector<TableSpec> tables = {MakeSpec(0, 1ull << 59, 4),
+                                         MakeSpec(1, 1ull << 59, 4),
+                                         MakeSpec(2, 10, 4)};
+  EXPECT_TRUE(tables[0].Validate().ok());
+  EXPECT_EQ(TotalStorage(tables), std::numeric_limits<Bytes>::max());
+  std::vector<CombinedTable> combined;
+  for (const TableSpec& t : tables) combined.emplace_back(t);
+  EXPECT_EQ(TotalStorage(combined), std::numeric_limits<Bytes>::max());
+  EXPECT_EQ(TotalStorage({MakeSpec(0, 1ull << 59, 4), MakeSpec(1, 10, 4)}),
+            (1ull << 63) + 160);
+}
+
 TEST(TableSpecTest, HalfPrecisionElements) {
   TableSpec spec = MakeSpec(0, 100, 8);
   spec.element_bytes = 2;

@@ -134,6 +134,27 @@ TEST(MlpModelTest, ForwardOneMatchesForward) {
   }
 }
 
+// Both forward paths keep one p-ascending accumulator per output, so the
+// batch-1 GEMV and every row block of the batched GEMM agree bit for bit,
+// including widths that leave a partial last panel.
+TEST(MlpModelTest, ForwardOneIsBitIdenticalToItsBatchRow) {
+  MlpSpec odd;
+  odd.input_dim = 37;
+  odd.hidden = {45, 19, 7};
+  for (const MlpSpec& spec : {SmallSpec(), odd}) {
+    const MlpModel model = MlpModel::Create(spec, 23);
+    Rng rng(15);
+    MatrixF inputs(13, spec.input_dim);  // two 6-row blocks + a 1-row block
+    for (float& v : inputs.flat()) v = rng.NextFloat(-0.25f, 0.25f);
+    const std::vector<float> batched = model.ForwardBatch(inputs);
+    MlpScratch scratch;
+    for (std::size_t i = 0; i < inputs.rows(); ++i) {
+      EXPECT_EQ(model.ForwardOne(inputs.row(i), scratch), batched[i])
+          << "input_dim " << spec.input_dim << " row " << i;
+    }
+  }
+}
+
 TEST(MlpModelTest, ForwardBatchHandlesEmptyBatch) {
   const MlpSpec spec = SmallSpec();
   const MlpModel model = MlpModel::Create(spec, 9);

@@ -80,6 +80,16 @@ TEST(ModelSerializationTest, RejectsTableWhoseByteSizeOverflows) {
   EXPECT_NE(result.status().message().find("overflow"), std::string::npos);
 }
 
+TEST(ModelSerializationTest, RejectsModelWhoseTotalByteSizeOverflows) {
+  // Two tables of 2^59 rows x 16 bytes: each fits, their sum wraps to 0.
+  const auto result = ParseModel(
+      "microrec-model v1\nmlp 8 16\n"
+      "table 0 576460752303423488 4 4 a\ntable 1 576460752303423488 4 4 b\n");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("overflow"), std::string::npos);
+}
+
 TEST(ModelSerializationTest, RejectsEmptyInput) {
   EXPECT_FALSE(ParseModel("").ok());
   EXPECT_FALSE(ParseModel("# only comments\n").ok());

@@ -2,6 +2,8 @@
 // and the gather / GEMM kernels (scalar vs AVX2).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -284,7 +286,7 @@ TEST(GemmAvx2Test, MatchesReferenceWhenSupported) {
     MatrixF b = RandomMatrix(k, n, rng);
     MatrixF ref, vec;
     GemmReference(a, b, ref);
-    GemmAvx2(a, b, vec);
+    GemmAvx2Ex(a, PanelMatrix(b), vec, {});
     for (std::size_t i = 0; i < ref.size(); ++i) {
       ASSERT_NEAR(vec.data()[i], ref.data()[i], 1e-4f * static_cast<float>(k))
           << m << "x" << k << "x" << n << " at " << i;
@@ -361,9 +363,10 @@ TEST_P(GemmFusedShapeTest, FusedMatchesSeparateEpilogue) {
     // AVX2: fused must be bit-equal to unfused AVX2 + separate sweep, and
     // within FMA-rounding distance of the blocked kernel.
     MatrixF vec_unfused, vec_fused;
-    GemmAvx2(a, b, vec_unfused);
+    const PanelMatrix packed(b);
+    GemmAvx2Ex(a, packed, vec_unfused, {});
     SeparateEpilogue(vec_unfused, bias, true);
-    GemmAvx2Ex(a, b, vec_fused, ep);
+    GemmAvx2Ex(a, packed, vec_fused, ep);
     for (std::size_t i = 0; i < vec_fused.size(); ++i) {
       ASSERT_EQ(vec_fused.data()[i], vec_unfused.data()[i])
           << "element " << i;
@@ -392,7 +395,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(13, 64, 23),
                       std::make_tuple(5, 31, 8),
                       std::make_tuple(64, 352, 40),
-                      std::make_tuple(3, 7, 1000)));
+                      std::make_tuple(3, 7, 1000),
+                      std::make_tuple(2, 5, 15),    // one partial panel
+                      std::make_tuple(4, 0, 33),    // k == 0, n % 16 == 1
+                      std::make_tuple(13, 20, 31),  // 6 + 6 + 1 rows
+                      std::make_tuple(12, 3, 1)));
 
 TEST(GemmFusedTest, BiasOnlyAndReluOnly) {
   Rng rng(77);
@@ -453,19 +460,16 @@ TEST_P(GemvFusedTest, MatchesGemmRowAndScalar) {
   if (CpuSupportsAvx2()) {
     // The batch-1 GEMM tile and the GEMV use the same p-ascending
     // single-accumulator order, so they are bit-identical per element.
+    const PanelMatrix packed(b);
     MatrixF c;
-    GemmAvx2Ex(x, b, c, ep);
+    GemmAvx2Ex(x, packed, c, ep);
     std::vector<float> y(n);
-    GemvAvx2Ex(x.row(0), b, y, ep);
+    GemvAvx2Ex(x.row(0), packed, y, ep);
     for (std::size_t j = 0; j < y.size(); ++j) {
       EXPECT_EQ(y[j], c(0, j)) << "column " << j;
+      EXPECT_NEAR(y[j], scalar[j],
+                  1e-4f * static_cast<float>(std::max(k, 1)));
     }
-  }
-
-  std::vector<float> autod(n);
-  GemvAutoEx(x.row(0), b, autod, ep);
-  for (std::size_t j = 0; j < autod.size(); ++j) {
-    EXPECT_NEAR(autod[j], scalar[j], 1e-4f * static_cast<float>(k));
   }
 }
 
@@ -474,7 +478,93 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GemvFusedTest,
                                            std::make_tuple(352, 1024),
                                            std::make_tuple(13, 9),
                                            std::make_tuple(100, 8),
-                                           std::make_tuple(64, 17)));
+                                           std::make_tuple(64, 17),
+                                           std::make_tuple(0, 5),
+                                           std::make_tuple(9, 16),
+                                           std::make_tuple(40, 33),
+                                           std::make_tuple(512, 256),
+                                           std::make_tuple(7, 1000)));
+
+/// C = A * B + bias, ReLU, with one std::fma accumulator per element over p
+/// in ascending order: the AVX2 kernel's exact arithmetic, lane by lane.
+MatrixF FmaLoopReference(const MatrixF& a, const MatrixF& b,
+                         std::span<const float> bias) {
+  MatrixF c(a.rows(), b.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < b.cols(); ++j) {
+      float acc = 0.0f;
+      for (std::size_t p = 0; p < a.cols(); ++p) {
+        acc = std::fma(a(i, p), b(p, j), acc);
+      }
+      acc += bias[j];
+      c(i, j) = acc < 0.0f ? 0.0f : acc;
+    }
+  }
+  return c;
+}
+
+// Every row remainder of the 6-row block (m = 1..7, 13), every width of the
+// last 16-column panel (n % 16 = 0..15, n up to 1000) and k = 0: GEMM and
+// GEMV are bit-identical to the p-ascending FMA loop.
+TEST(GemmAvx2Test, PanelKernelIsBitIdenticalToFmaLoopOnEveryShape) {
+  if (!CpuSupportsAvx2()) GTEST_SKIP() << "host lacks AVX2/FMA";
+  std::vector<int> widths;
+  for (int n = 1; n <= 17; ++n) widths.push_back(n);
+  for (int n : {31, 33, 1000}) widths.push_back(n);
+  for (int k : {0, 1, 9}) {
+    for (int n : widths) {
+      Rng rng(1000 + 7 * k + n);
+      const MatrixF b = RandomMatrix(k, n, rng);
+      const PanelMatrix packed(b);
+      std::vector<float> bias(n);
+      for (float& v : bias) v = rng.NextFloat(-0.5f, 0.5f);
+      const GemmEpilogue ep{.bias = bias, .relu = true};
+      for (int m : {1, 2, 3, 4, 5, 6, 7, 13}) {
+        const MatrixF a = RandomMatrix(m, k, rng);
+        const MatrixF expect = FmaLoopReference(a, b, bias);
+        MatrixF c;
+        GemmAvx2Ex(a, packed, c, ep);
+        ASSERT_EQ(c.rows(), expect.rows());
+        ASSERT_EQ(c.cols(), expect.cols());
+        for (std::size_t i = 0; i < c.size(); ++i) {
+          ASSERT_EQ(c.data()[i], expect.data()[i])
+              << m << "x" << k << "x" << n << " element " << i;
+        }
+        // The last panel's masked store must not touch past column n.
+        std::vector<float> y(n + PanelMatrix::kWidth, 7.0f);
+        GemvAvx2Ex(a.row(m - 1), packed, std::span(y).first(n), ep);
+        for (int j = 0; j < n; ++j) {
+          ASSERT_EQ(y[j], expect(m - 1, j))
+              << "GEMV " << k << "x" << n << " column " << j;
+        }
+        for (std::size_t j = n; j < y.size(); ++j) ASSERT_EQ(y[j], 7.0f);
+      }
+    }
+  }
+}
+
+TEST(PanelMatrixTest, PacksColumnsIntoPanelsWithZeroPadding) {
+  Rng rng(61);
+  const MatrixF b = RandomMatrix(5, 35, rng);  // panels of 16, 16 and 3
+  const PanelMatrix packed(b);
+  EXPECT_EQ(packed.rows(), 5u);
+  EXPECT_EQ(packed.cols(), 35u);
+  ASSERT_EQ(packed.panels(), 3u);
+  for (std::size_t q = 0; q < packed.panels(); ++q) {
+    const float* panel = packed.panel(q);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(panel) % kCacheLineBytes, 0u);
+    for (std::size_t p = 0; p < 5; ++p) {
+      for (std::size_t l = 0; l < PanelMatrix::kWidth; ++l) {
+        const std::size_t j = q * PanelMatrix::kWidth + l;
+        const float want = j < b.cols() ? b(p, j) : 0.0f;
+        EXPECT_EQ(panel[p * PanelMatrix::kWidth + l], want)
+            << "panel " << q << " row " << p << " lane " << l;
+      }
+    }
+  }
+  EXPECT_EQ(PanelMatrix(MatrixF(3, 16)).panels(), 1u);
+  EXPECT_EQ(PanelMatrix(MatrixF(3, 0)).panels(), 0u);
+}
 
 TEST(GemmOpsTest, CountsTwoOpsPerMac) {
   EXPECT_EQ(GemmOps(1, 352, 1024), 2ull * 352 * 1024);
