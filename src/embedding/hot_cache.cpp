@@ -15,8 +15,6 @@ void EmbeddingCacheSim::set_metrics(obs::MetricsRegistry* registry) {
   metrics_.hits = &registry->counter("embedding_cache_hits_total");
   metrics_.misses = &registry->counter("embedding_cache_misses_total");
   metrics_.evictions = &registry->counter("embedding_cache_evictions_total");
-  metrics_.invalidations =
-      &registry->counter("embedding_cache_invalidations_total");
   metrics_.bytes_cached = &registry->gauge("embedding_cache_bytes_cached");
 }
 
@@ -52,65 +50,11 @@ bool EmbeddingCacheSim::Access(std::uint32_t table_id, std::uint64_t row,
   return false;
 }
 
-bool EmbeddingCacheSim::Invalidate(std::uint32_t table_id,
-                                   std::uint64_t row) {
-  const Key key{table_id, row};
-  auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  stats_.bytes_cached -= it->second->bytes;
-  lru_.erase(it->second);
-  index_.erase(it);
-  ++stats_.invalidations;
-  if (metrics_.invalidations != nullptr) metrics_.invalidations->Inc();
-  if (metrics_.bytes_cached != nullptr) {
-    metrics_.bytes_cached->Set(static_cast<double>(stats_.bytes_cached));
-  }
-  return true;
-}
-
 void EmbeddingCacheSim::Clear() {
   lru_.clear();
   index_.clear();
   stats_.bytes_cached = 0;
   if (metrics_.bytes_cached != nullptr) metrics_.bytes_cached->Set(0.0);
-}
-
-// ---------------------------------------------------------- PackedRowCache
-
-PackedRowCache::PackedRowCache(std::uint32_t dim, std::uint64_t capacity_rows)
-    : dim_(dim), capacity_rows_(capacity_rows) {
-  MICROREC_CHECK(dim >= 1 && capacity_rows >= 1);
-  arena_.Resize(capacity_rows, dim);
-  slot_of_.reserve(capacity_rows);
-}
-
-std::optional<std::uint64_t> PackedRowCache::Pin(std::uint64_t row,
-                                                 std::span<const float> vec) {
-  MICROREC_CHECK(vec.size() == dim_);
-  const auto it = slot_of_.find(row);
-  std::uint64_t slot;
-  if (it != slot_of_.end()) {
-    slot = it->second;
-  } else {
-    if (pinned_ == capacity_rows_) return std::nullopt;
-    slot = pinned_++;
-    slot_of_.emplace(row, slot);
-  }
-  const std::span<float> dst = arena_.row(slot);
-  for (std::uint32_t d = 0; d < dim_; ++d) dst[d] = vec[d];
-  return slot;
-}
-
-std::optional<std::uint64_t> PackedRowCache::SlotOf(std::uint64_t row) const {
-  const auto it = slot_of_.find(row);
-  if (it == slot_of_.end()) return std::nullopt;
-  return it->second;
-}
-
-PackedTableView PackedRowCache::view() const {
-  PackedTableView v = arena_.view();
-  v.rows = pinned_;  // gather wraps modulo the *pinned* count
-  return v;
 }
 
 }  // namespace microrec

@@ -11,13 +11,10 @@
 
 #include <cstdint>
 #include <list>
-#include <optional>
-#include <span>
 #include <unordered_map>
 
 #include "common/units.hpp"
 #include "obs/metrics.hpp"
-#include "tensor/packed_rows.hpp"
 
 namespace microrec {
 
@@ -25,7 +22,6 @@ struct EmbeddingCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
-  std::uint64_t invalidations = 0;  ///< entries dropped by Invalidate()
   Bytes bytes_cached = 0;  ///< current occupancy
 
   double hit_rate() const {
@@ -49,15 +45,10 @@ class EmbeddingCacheSim {
   /// capacity are never cached (counted as misses, no insertion).
   bool Access(std::uint32_t table_id, std::uint64_t row, Bytes entry_bytes);
 
-  /// Drops the entry for (table, row) if cached, so a row that received an
-  /// embedding update is re-fetched instead of served stale. Returns true
-  /// if an entry was evicted (counted in stats().invalidations).
-  bool Invalidate(std::uint32_t table_id, std::uint64_t row);
-
   /// Drops all entries; keeps cumulative hit/miss counters.
   void Clear();
 
-  /// Mirrors hit/miss/eviction/invalidation counts and the occupancy gauge
+  /// Mirrors hit/miss/eviction counts and the occupancy gauge
   /// into `registry` (names prefixed `embedding_cache_`). Pass nullptr to
   /// detach. Counts-only: cache behaviour is unchanged.
   void set_metrics(obs::MetricsRegistry* registry);
@@ -82,7 +73,6 @@ class EmbeddingCacheSim {
     obs::Counter* hits = nullptr;
     obs::Counter* misses = nullptr;
     obs::Counter* evictions = nullptr;
-    obs::Counter* invalidations = nullptr;
     obs::Gauge* bytes_cached = nullptr;
   };
 
@@ -91,43 +81,6 @@ class EmbeddingCacheSim {
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
   EmbeddingCacheStats stats_;
   MetricHandles metrics_;  ///< all null unless set_metrics attached them
-};
-
-/// Materialized hot-row store for one table, in the same packed row layout
-/// as EmbeddingTable (tensor/packed_rows.hpp): pinned rows live
-/// contiguously, dim-padded to 8 floats, so a cache-resident gather runs
-/// through the identical vectorized gather/sum-pool kernel as a
-/// table-resident one -- only the arena and the indices differ. Pinning is
-/// static (paper placement rule 4 pins whole hot tables on chip;
-/// EmbeddingCacheSim remains the *dynamic* LRU policy simulator): Pin()
-/// admits rows until the row budget is full and never evicts.
-class PackedRowCache {
- public:
-  PackedRowCache(std::uint32_t dim, std::uint64_t capacity_rows);
-
-  std::uint32_t dim() const { return dim_; }
-  std::uint64_t capacity_rows() const { return capacity_rows_; }
-  std::uint64_t pinned_rows() const { return pinned_; }
-
-  /// Copies `vec` (length dim) into the arena as (virtual) row `row`.
-  /// Returns the slot index, reusing the existing slot when `row` is
-  /// already pinned; nullopt when the cache is full.
-  std::optional<std::uint64_t> Pin(std::uint64_t row,
-                                   std::span<const float> vec);
-
-  /// Arena slot holding `row`, or nullopt on miss.
-  std::optional<std::uint64_t> SlotOf(std::uint64_t row) const;
-
-  /// Packed view over the pinned slots; gather with *slot* indices (from
-  /// SlotOf), exactly as a table gather uses row indices.
-  PackedTableView view() const;
-
- private:
-  std::uint32_t dim_;
-  std::uint64_t capacity_rows_;
-  std::uint64_t pinned_ = 0;
-  PackedRowBuffer arena_;                               // [capacity x dim]
-  std::unordered_map<std::uint64_t, std::uint64_t> slot_of_;  // row -> slot
 };
 
 }  // namespace microrec

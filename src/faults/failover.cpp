@@ -15,57 +15,64 @@ FailoverRouter::FailoverRouter(const ReplicationPlan* plan,
 RoutedLookups FailoverRouter::Route(std::uint32_t lookups_per_table,
                                     Nanoseconds now) const {
   RoutedLookups routed;
-  routed.accesses.reserve(plan_->tables.size() * lookups_per_table);
-  std::vector<std::uint32_t> live;
-  std::vector<std::uint32_t> per_bank_count;
+  RouteInto(lookups_per_table, now, routed);
+  return routed;
+}
+
+void FailoverRouter::RouteInto(std::uint32_t lookups_per_table,
+                               Nanoseconds now, RoutedLookups& out) const {
+  out.accesses.clear();
+  out.accesses.reserve(plan_->tables.size() * lookups_per_table);
+  out.shed_lookups = 0;
+  out.unservable_tables = 0;
   std::uint64_t tag = 0;
   for (const auto& replicated : plan_->tables) {
     // Live candidates in plan order -- primaries first, spares appended
     // after them -- truncated to the primary count so spares only ever
     // substitute for dead primaries (healthy routing stays untouched).
+    // Lookup l lands on live candidate l % live: the candidates are
+    // written in place as the first lookups, and the rest repeat them.
+    const std::size_t first = out.accesses.size();
     const std::uint32_t primaries = replicated.primaries();
-    live.clear();
+    const Bytes bytes = replicated.table.VectorBytes();
     for (std::uint32_t bank : replicated.banks) {
+      if (out.accesses.size() - first == primaries) break;
       if (schedule_ == nullptr || schedule_->BankAvailable(bank, now)) {
-        live.push_back(bank);
-        if (live.size() == primaries) break;
+        out.accesses.push_back(BankAccess{bank, bytes, tag});
       }
     }
-    if (live.empty()) {
-      routed.shed_lookups += lookups_per_table;
-      ++routed.unservable_tables;
-      ++tag;
-      continue;
-    }
-    for (std::uint32_t l = 0; l < lookups_per_table; ++l) {
-      const std::uint32_t bank = live[l % live.size()];
-      routed.accesses.push_back(
-          BankAccess{bank, replicated.table.VectorBytes(), tag});
-      if (bank >= per_bank_count.size()) per_bank_count.resize(bank + 1, 0);
-      routed.rounds = std::max(routed.rounds, ++per_bank_count[bank]);
+    const std::size_t live = out.accesses.size() - first;
+    if (live == 0) {
+      out.shed_lookups += lookups_per_table;
+      ++out.unservable_tables;
+    } else if (live >= lookups_per_table) {
+      out.accesses.resize(first + lookups_per_table);
+    } else {
+      for (std::size_t l = live; l < lookups_per_table; ++l) {
+        const BankAccess repeat = out.accesses[first + l % live];
+        out.accesses.push_back(repeat);
+      }
     }
     ++tag;
   }
-  return routed;
 }
 
 Nanoseconds FailoverRouter::DegradedLookupLatency(
-    std::uint32_t lookups_per_table, const MemoryPlatformSpec& platform,
-    Nanoseconds now) const {
-  const RoutedLookups routed = Route(lookups_per_table, now);
-  std::vector<Nanoseconds> per_bank(platform.total_banks(), 0.0);
+    const RoutedLookups& routed, const MemoryPlatformSpec& platform,
+    Nanoseconds now, std::vector<Nanoseconds>& bank_ns) const {
+  bank_ns.assign(platform.total_banks(), 0.0);
   for (const auto& access : routed.accesses) {
     MICROREC_CHECK(access.bank < platform.total_banks());
     const double multiplier =
         schedule_ == nullptr
             ? 1.0
             : schedule_->BankLatencyMultiplier(access.bank, now);
-    per_bank[access.bank] +=
+    bank_ns[access.bank] +=
         platform.TimingOfBank(access.bank).AccessLatency(access.bytes) *
         multiplier;
   }
   Nanoseconds worst = 0.0;
-  for (Nanoseconds t : per_bank) worst = std::max(worst, t);
+  for (Nanoseconds t : bank_ns) worst = std::max(worst, t);
   return worst;
 }
 

@@ -27,7 +27,6 @@ struct RoutedLookups {
   std::vector<BankAccess> accesses;     ///< every access targets a live bank
   std::uint64_t shed_lookups = 0;       ///< no live replica anywhere
   std::uint32_t unservable_tables = 0;  ///< tables with zero live replicas
-  std::uint32_t rounds = 0;  ///< max accesses routed to one DRAM bank
 
   bool fully_servable() const { return unservable_tables == 0; }
 };
@@ -43,13 +42,20 @@ class FailoverRouter {
   /// exactly (access-for-access), so the healthy path costs nothing.
   RoutedLookups Route(std::uint32_t lookups_per_table, Nanoseconds now) const;
 
-  /// Idle-system latency of the routed batch under the schedule's degrade
-  /// multipliers: the largest per-bank sum of multiplied access latencies
-  /// (the fault-aware RoundLatencyModel). Shed lookups contribute nothing;
-  /// check RoutedLookups::fully_servable via Route if that matters.
-  Nanoseconds DegradedLookupLatency(std::uint32_t lookups_per_table,
+  /// Route, refilling `out` in place: a caller that routes query after
+  /// query reuses one buffer and stops allocating once it has grown.
+  void RouteInto(std::uint32_t lookups_per_table, Nanoseconds now,
+                 RoutedLookups& out) const;
+
+  /// Idle-system latency of `routed` (a Route result at `now`) under the
+  /// schedule's degrade multipliers: the largest per-bank sum of
+  /// multiplied access latencies (the fault-aware RoundLatencyModel). Shed
+  /// lookups contribute nothing; check `routed.fully_servable()` if that
+  /// matters. `bank_ns` is caller scratch, refilled with the per-bank sums.
+  Nanoseconds DegradedLookupLatency(const RoutedLookups& routed,
                                     const MemoryPlatformSpec& platform,
-                                    Nanoseconds now) const;
+                                    Nanoseconds now,
+                                    std::vector<Nanoseconds>& bank_ns) const;
 
   /// Live replicas of table index `t` at `now` (over primaries + spares).
   std::uint32_t LiveReplicas(std::size_t t, Nanoseconds now) const;

@@ -27,9 +27,6 @@ struct RetryPolicy {
 
   Status Validate() const;
   Nanoseconds BackoffAfterAttempt(std::uint32_t attempt) const;
-  /// Worst-case time from issue to giving up: max_attempts timeouts plus
-  /// the backoffs between them. Useful as an SLA budget check.
-  Nanoseconds WorstCaseGiveUp() const;
 };
 
 }  // namespace microrec

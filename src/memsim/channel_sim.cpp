@@ -13,7 +13,6 @@ ChannelSim::ChannelSim(ChannelTiming timing, double overlap)
 
 MemCompletion ChannelSim::Serve(const MemRequest& request) {
   MICROREC_CHECK(request.arrival_ns >= last_arrival_ns_);
-  MICROREC_CHECK(request.latency_scale >= 1.0);
   last_arrival_ns_ = request.arrival_ns;
 
   // AccessLatency is already closed-form over beats (ceil-divide, no
@@ -21,8 +20,7 @@ MemCompletion ChannelSim::Serve(const MemRequest& request) {
   // service times from the same value -- bit-identical to computing each
   // from scratch, half the arithmetic on the hottest call in the codebase.
   const Nanoseconds full_latency = timing_.AccessLatency(request.bytes);
-  const Nanoseconds service =
-      (full_latency - overlap_ * timing_.base_ns) * request.latency_scale;
+  const Nanoseconds service = full_latency - overlap_ * timing_.base_ns;
   Nanoseconds start = std::max(request.arrival_ns, free_at_ns_);
   // Refresh: an access that would begin inside a refresh window (every
   // interval_ns the channel is blocked for duration_ns) defers to the
@@ -41,8 +39,7 @@ MemCompletion ChannelSim::Serve(const MemRequest& request) {
   // a previous one (its initiation can be hidden); an idle channel pays the
   // full base latency.
   const bool queued = free_at_ns_ > request.arrival_ns;
-  const Nanoseconds effective_service =
-      queued ? service : full_latency * request.latency_scale;
+  const Nanoseconds effective_service = queued ? service : full_latency;
 
   MemCompletion done;
   done.tag = request.tag;

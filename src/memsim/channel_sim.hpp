@@ -21,10 +21,6 @@ struct MemRequest {
   Nanoseconds arrival_ns = 0.0;
   Bytes bytes = 0;
   std::uint64_t tag = 0;  ///< caller-defined id (e.g. table index)
-  /// Service-time multiplier (>= 1.0) for a degraded channel; 1.0 is the
-  /// healthy default and is exactly cost-free (the service time is
-  /// multiplied by 1.0, which is an identity on IEEE doubles).
-  double latency_scale = 1.0;
 };
 
 /// Result of serving one request.

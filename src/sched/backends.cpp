@@ -90,13 +90,13 @@ bool PipelineBackend::Admit(const SchedQuery& q) {
   const LookupFailover& failover = config_.failover;
   if (failover.router != nullptr) {
     // The router re-prices the lookup round at this query's start.
-    if (!failover.router->Route(failover.lookups_per_table, start)
-             .fully_servable()) {
+    failover.router->RouteInto(failover.lookups_per_table, start, routed_);
+    if (!routed_.fully_servable()) {
       return false;  // a table lost every replica: shed
     }
     const Nanoseconds base = failover.router->plan().lookup_latency_ns;
     const Nanoseconds lookup = failover.router->DegradedLookupLatency(
-        failover.lookups_per_table, *failover.platform, start);
+        routed_, *failover.platform, start, bank_ns_);
     item_latency = item_latency - base + lookup;
     // A stretched lookup round stretches the pipeline's bottleneck stage:
     // the replica initiates items more slowly, i.e. capacity drops.

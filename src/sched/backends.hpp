@@ -94,6 +94,9 @@ class PipelineBackend : public Backend {
   bool healthy_ = true;
   std::vector<PipelineServer> replicas_;
   CompletionQueue done_;
+  /// Failover scratch reused by every Admit: one routing per query.
+  RoutedLookups routed_;
+  std::vector<Nanoseconds> bank_ns_;
 };
 
 // ---------------------------------------------------------------------------

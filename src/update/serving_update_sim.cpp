@@ -115,22 +115,20 @@ UpdateServingReport SimulateServingWithUpdates(
     ++report.update_batches;
     report.update_rows += batch.size();
 
-    if (config.enable_replacement) {
-      for (const EmbeddingDelta& delta : batch.deltas) {
-        if (!delta.grows_table) continue;
-        auto migration =
-            replanner.OnRowGrowth(delta.table_id, delta.row + 1, at);
-        if (!migration.ok() || !migration->has_value()) continue;
-        const MigrationEvent& event = **migration;
-        ++report.migrations;
-        report.migrated_bytes += event.bytes_moved;
-        report.migration_cost_ns += event.cost_ns;
-        injector.RebuildRoutes(replanner.plan());
-        issue_cursor = std::max(issue_cursor, at);
-        injector.InjectRaw(event.destination_writes, issue_cursor);
-        lookup = replanner.plan().ToBankAccesses(
-            config.placement.lookups_per_table);
-      }
+    for (const EmbeddingDelta& delta : batch.deltas) {
+      if (!delta.grows_table) continue;
+      auto migration =
+          replanner.OnRowGrowth(delta.table_id, delta.row + 1, at);
+      if (!migration.ok() || !migration->has_value()) continue;
+      const MigrationEvent& event = **migration;
+      ++report.migrations;
+      report.migrated_bytes += event.bytes_moved;
+      report.migration_cost_ns += event.cost_ns;
+      injector.RebuildRoutes(replanner.plan());
+      issue_cursor = std::max(issue_cursor, at);
+      injector.InjectRaw(event.destination_writes, issue_cursor);
+      lookup = replanner.plan().ToBankAccesses(
+          config.placement.lookups_per_table);
     }
 
     issue_cursor = std::max(issue_cursor, at);

@@ -42,10 +42,10 @@ struct UpdateServingConfig {
   std::uint32_t publish_every_batches = 1;
 
   // ---- Placement context ----
-  PlacementOptions placement;  ///< options the input plan was built with
-  /// Re-run the heuristic when growth overflows a bank (migration cost is
-  /// charged and the new plan serves subsequent lookups).
-  bool enable_replacement = true;
+  /// Options the input plan was built with. When growth overflows a bank
+  /// the heuristic re-runs with them: migration cost is charged and the
+  /// new plan serves subsequent lookups.
+  PlacementOptions placement;
 
   /// Optional counts-only telemetry. Update/publish/migration counters plus
   /// staleness and interference histograms are mirrored into this registry

@@ -9,8 +9,6 @@
 #include "embedding/table_spec.hpp"
 #include "faults/fault_schedule.hpp"
 #include "hls/hls_stream.hpp"
-#include "memsim/channel_sim.hpp"
-#include "memsim/dram_timing.hpp"
 #include "tensor/matrix.hpp"
 
 namespace microrec {
@@ -112,17 +110,6 @@ TEST(FailureDeathTest, CombinedRowIndexValidatesMemberCount) {
       TableSpec{0, "a", 4, 4, 4}, TableSpec{1, "b", 4, 4, 4}});
   EXPECT_DEATH(product.CombinedRowIndex({1}), "MICROREC_CHECK");
   EXPECT_DEATH(product.CombinedRowIndex({1, 99}), "MICROREC_CHECK");
-}
-
-TEST(FailureDeathTest, SubUnityLatencyScaleAborts) {
-  // latency_scale < 1 would make a "fault" a speedup; the channel treats
-  // it as a contract violation, not a recoverable input.
-  ChannelSim channel(HbmChannelTiming());
-  MemRequest request;
-  request.arrival_ns = 0.0;
-  request.bytes = 64;
-  request.latency_scale = 0.5;
-  EXPECT_DEATH(channel.Serve(request), "MICROREC_CHECK");
 }
 
 // ---------------------------------------------------------------- Status

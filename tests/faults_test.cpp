@@ -1,8 +1,6 @@
 // Tests for the fault-injection subsystem (src/faults/) and the shared
 // retry policy:
 //   * schedules validate their events and generate deterministically;
-//   * the injector rejects/degrades accesses through HybridMemorySystem
-//     without perturbing the healthy path;
 //   * failover routing never silently drops a lookup -- every lookup lands
 //     on a live bank or is counted as shed;
 //   * retry backoff grows geometrically up to its cap;
@@ -13,12 +11,12 @@
 //     bound force it to.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "faults/failover.hpp"
-#include "faults/fault_injector.hpp"
 #include "faults/fault_schedule.hpp"
 #include "faults/retry.hpp"
 #include "memsim/hybrid_memory.hpp"
@@ -190,66 +188,6 @@ TEST(FaultScheduleTest, EmptyConfigGeneratesEmptySchedule) {
   EXPECT_TRUE(GenerateFaultSchedule(config).value().empty());
 }
 
-// ---------------------------------------------------------------- Injector
-
-TEST(FaultInjectorTest, RejectsAccessesToFailedBank) {
-  const auto spec = MemoryPlatformSpec::AlveoU280();
-  HybridMemorySystem memory(spec);
-  const FaultSchedule schedule = FaultSchedule::FailChannels({0});
-  FaultInjector injector(&schedule);
-  memory.set_fault_model(&injector);
-
-  const std::vector<BankAccess> batch = {{0, 64, 100}, {1, 64, 101}};
-  const auto result = memory.IssueBatch(batch, 0.0);
-  ASSERT_EQ(result.rejected.size(), 1u);
-  EXPECT_EQ(result.rejected[0].bank, 0u);
-  EXPECT_EQ(result.rejected[0].tag, 100u);
-  ASSERT_EQ(result.completions.size(), 1u);
-  EXPECT_EQ(injector.stats().rejected_accesses, 1u);
-}
-
-TEST(FaultInjectorTest, DegradeMultipliesServiceTime) {
-  const auto spec = MemoryPlatformSpec::AlveoU280();
-  const std::vector<BankAccess> batch = {{0, 64, 0}};
-
-  HybridMemorySystem healthy(spec);
-  const Nanoseconds base = healthy.IssueBatch(batch, 0.0).latency_ns();
-
-  FaultSchedule schedule;
-  ASSERT_TRUE(schedule
-                  .Add(Event(FaultKind::kChannelDegrade, 0.0,
-                             kFaultNoRecovery, 0, 2.0))
-                  .ok());
-  HybridMemorySystem degraded(spec);
-  FaultInjector injector(&schedule);
-  degraded.set_fault_model(&injector);
-  EXPECT_DOUBLE_EQ(degraded.IssueBatch(batch, 0.0).latency_ns(), 2.0 * base);
-  EXPECT_EQ(injector.stats().degraded_accesses, 1u);
-}
-
-TEST(FaultInjectorTest, EmptyScheduleIsBitwiseIdentity) {
-  const auto spec = MemoryPlatformSpec::AlveoU280();
-  std::vector<BankAccess> batch;
-  for (std::uint32_t i = 0; i < 16; ++i) batch.push_back({i % 4, 128, i});
-
-  HybridMemorySystem plain(spec);
-  const auto baseline = plain.IssueBatch(batch, 5.0);
-
-  const FaultSchedule empty;
-  FaultInjector injector(&empty);
-  HybridMemorySystem injected(spec);
-  injected.set_fault_model(&injector);
-  const auto result = injected.IssueBatch(batch, 5.0);
-
-  EXPECT_TRUE(result.rejected.empty());
-  EXPECT_EQ(result.completion_ns, baseline.completion_ns);
-  ASSERT_EQ(result.completions.size(), baseline.completions.size());
-  for (std::size_t i = 0; i < result.completions.size(); ++i) {
-    EXPECT_EQ(result.completions[i].completion_ns,
-              baseline.completions[i].completion_ns);
-  }
-}
-
 // ---------------------------------------------------------------- Failover
 
 class FailoverTest : public ::testing::Test {
@@ -280,9 +218,10 @@ TEST_F(FailoverTest, HealthyRoutingMatchesPlanExactly) {
     EXPECT_EQ(routed.accesses[i].bank, expected[i].bank);
     EXPECT_EQ(routed.accesses[i].bytes, expected[i].bytes);
   }
-  EXPECT_DOUBLE_EQ(router.DegradedLookupLatency(model_.lookups_per_table,
-                                                platform_, 0.0),
-                   plan_.lookup_latency_ns);
+  std::vector<Nanoseconds> bank_ns;
+  EXPECT_DOUBLE_EQ(
+      router.DegradedLookupLatency(routed, platform_, 0.0, bank_ns),
+      plan_.lookup_latency_ns);
 }
 
 TEST_F(FailoverTest, EveryLookupLandsOnLiveBankOrIsShed) {
@@ -311,8 +250,8 @@ TEST_F(FailoverTest, EveryLookupLandsOnLiveBankOrIsShed) {
   EXPECT_EQ(routed.shed_lookups, 0u);  // replication 2 survives these
   // Surviving replicas absorb the dead channel's lookups in extra rounds:
   // availability is preserved at the price of a longer lookup.
-  EXPECT_GT(router.DegradedLookupLatency(model_.lookups_per_table,
-                                         platform_, 0.0),
+  std::vector<Nanoseconds> bank_ns;
+  EXPECT_GT(router.DegradedLookupLatency(routed, platform_, 0.0, bank_ns),
             plan_.lookup_latency_ns);
 }
 
@@ -351,6 +290,18 @@ TEST_F(FailoverTest, RecoveryRestoresHealthyRouting) {
   ASSERT_EQ(after.accesses.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(after.accesses[i].bank, expected[i].bank);
+  }
+
+  // Routing into a reused buffer gives the same lookups as a fresh Route.
+  RoutedLookups reused;
+  for (const Nanoseconds now : {500.0, 1000.0, 500.0}) {
+    router.RouteInto(model_.lookups_per_table, now, reused);
+    const auto fresh = router.Route(model_.lookups_per_table, now);
+    ASSERT_EQ(reused.accesses.size(), fresh.accesses.size());
+    for (std::size_t i = 0; i < fresh.accesses.size(); ++i) {
+      EXPECT_EQ(reused.accesses[i].bank, fresh.accesses[i].bank);
+      EXPECT_EQ(reused.accesses[i].tag, fresh.accesses[i].tag);
+    }
   }
 }
 
@@ -480,6 +431,66 @@ TEST_F(FailoverTest, PipelinePoolShedsLostTablesAndSlowsOnStretchedRounds) {
   const auto stretched = ServeOnPool(arrivals, config);
   EXPECT_EQ(stretched.availability, 1.0);
   EXPECT_GT(stretched.serving.p50, healthy.serving.p50);
+}
+
+TEST_F(FailoverTest, PipelineRidesOutFailAndDegradeWindowsOpeningMidRun) {
+  // Queries arrive every 20 us, far apart enough that none queues. Table 0
+  // loses every replica for queries 10..19, and every bank the plan uses
+  // serves at 2x for queries 30..39; both windows open after t = 0 and
+  // close before the run ends.
+  const Nanoseconds gap = Microseconds(20);
+  FaultSchedule schedule;
+  for (const std::uint32_t bank : plan_.tables[0].banks) {
+    ASSERT_TRUE(
+        schedule.Add(Event(FaultKind::kChannelFail, 10 * gap, 20 * gap, bank))
+            .ok());
+  }
+  std::vector<std::uint32_t> banks;
+  for (const auto& table : plan_.tables) {
+    banks.insert(banks.end(), table.banks.begin(), table.banks.end());
+  }
+  std::sort(banks.begin(), banks.end());
+  banks.erase(std::unique(banks.begin(), banks.end()), banks.end());
+  for (const std::uint32_t bank : banks) {
+    ASSERT_TRUE(schedule
+                    .Add(Event(FaultKind::kChannelDegrade, 30 * gap, 40 * gap,
+                               bank, 2.0))
+                    .ok());
+  }
+  const FailoverRouter router(&plan_, &schedule);
+
+  sched::PipelineBackendConfig config;
+  config.item_latency_ns = Microseconds(5) + plan_.lookup_latency_ns;
+  config.initiation_interval_ns = 300.0;
+  config.failover = {&router, &platform_, model_.lookups_per_table};
+  sched::PipelineBackend backend(config);
+
+  constexpr std::uint64_t kQueries = 50;
+  std::vector<bool> admitted;
+  for (std::uint64_t i = 0; i < kQueries; ++i) {
+    admitted.push_back(backend.Admit(
+        sched::SchedQuery{i, static_cast<double>(i) * gap, 1, 1}));
+  }
+  std::vector<sched::SchedCompletion> done;
+  backend.Finalize(done);
+  std::vector<Nanoseconds> latency(kQueries, -1.0);
+  for (const auto& c : done) {
+    latency[c.query_id] = c.completion_ns - static_cast<double>(c.query_id) * gap;
+  }
+
+  // A doubled round adds one more lookup round to the item latency.
+  const Nanoseconds healthy = config.item_latency_ns;
+  const Nanoseconds stretched = healthy + plan_.lookup_latency_ns;
+  for (std::uint64_t i = 0; i < kQueries; ++i) {
+    if (i >= 10 && i < 20) {
+      EXPECT_FALSE(admitted[i]) << "query " << i << " inside the fail window";
+      EXPECT_EQ(latency[i], -1.0) << "shed query " << i << " completed";
+      continue;
+    }
+    ASSERT_TRUE(admitted[i]) << "query " << i;
+    const Nanoseconds want = i >= 30 && i < 40 ? stretched : healthy;
+    EXPECT_NEAR(latency[i], want, 1e-6) << "query " << i;
+  }
 }
 
 }  // namespace

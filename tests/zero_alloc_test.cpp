@@ -30,6 +30,13 @@ namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 std::atomic<std::uint64_t> g_frees{0};
 
+// Every operator delete overload ends here: malloc and aligned_alloc
+// memory are both released by std::free.
+void CountedFree(void* p) noexcept {
+  g_frees.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
+
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -54,24 +61,17 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
 
-void operator delete(void* p) noexcept {
-  g_frees.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
-}
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::align_val_t) noexcept {
-  ::operator delete(p);
-}
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, std::align_val_t) noexcept { CountedFree(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  ::operator delete(p);
+  CountedFree(p);
 }
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::align_val_t) noexcept {
-  ::operator delete(p);
-}
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { CountedFree(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  ::operator delete(p);
+  CountedFree(p);
 }
 
 namespace microrec {

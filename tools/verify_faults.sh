@@ -4,9 +4,8 @@
 # non-empty and carries sweep records plus the zero-failure baseline.
 # Also runs bench_ablation_faults, which exits non-zero if the zero-fault
 # run is not field-for-field identical to the fault-free simulator, and
-# the fault-tolerance leg: the chaos suites (circuit breakers, backend
-# fault models, the fault-tolerant scheduler, recovery metrics, the chaos
-# sweep) under ctest, a `microrec chaos-sweep` smoke with a JSON artifact,
+# the fault-tolerance leg: the faults, sched and chaos test suites, each
+# run whole, a `microrec chaos-sweep` smoke with a JSON artifact,
 # and bench_chaos, which exits non-zero when the breaker+retry+hedge
 # headline is lost, the threaded rerun diverges, or the zero-intensity
 # points drift from the healthy scheduler.
@@ -42,10 +41,11 @@ grep -q '"failed_channels": 0' "$workdir/faults.json"
 (cd "$workdir" && "$build/bench/bench_ablation_faults" >/dev/null)
 grep -q '"zero_fault_identity": true' "$workdir/BENCH_ablation_faults.json"
 
-# Fault-tolerance leg: unit suites, the chaos-sweep CLI, and the
-# self-gating chaos bench.
-ctest --test-dir "$build" --output-on-failure --no-tests=error \
-  -R 'FaultSchedule|RetryPolicy|CircuitBreaker|BackendFaultModel|FtScheduler|Recovery|ChaosSweep|SchedServing'
+# Fault-tolerance leg: the unit suites (every test in each), the
+# chaos-sweep CLI, and the self-gating chaos bench.
+for suite in faults_test sched_test chaos_test; do
+  "$build/tests/$suite" --gtest_brief=1
+done
 
 "$build/tools/microrec" chaos-sweep --queries 2000 --fault-points 2 \
   --json "$workdir/chaos.json" >/dev/null
