@@ -22,7 +22,6 @@
 #include "exec/parallel.hpp"
 #include "faults/failover.hpp"
 #include "faults/fault_schedule.hpp"
-#include "placement/replication.hpp"
 #include "sched/backends.hpp"
 #include "sched/ft_scheduler.hpp"
 #include "sched/load_gen.hpp"
@@ -31,33 +30,6 @@
 #include "workload/model_zoo.hpp"
 
 using namespace microrec;
-
-namespace {
-
-/// Distinct HBM banks serving the plan, round-robin by replica index
-/// (every table's first replica before any table's second) so k failures
-/// spread across k tables the way random channel failures do.
-std::vector<std::uint32_t> FailureCandidates(const ReplicationPlan& plan,
-                                             std::uint32_t hbm_channels) {
-  std::vector<std::uint32_t> candidates;
-  std::uint32_t max_replicas = 0;
-  for (const auto& table : plan.tables) {
-    max_replicas = std::max(max_replicas, table.replicas());
-  }
-  for (std::uint32_t i = 0; i < max_replicas; ++i) {
-    for (const auto& table : plan.tables) {
-      if (i >= table.replicas()) continue;
-      const std::uint32_t bank = table.banks[i];
-      if (bank >= hbm_channels) continue;
-      bool seen = false;
-      for (std::uint32_t c : candidates) seen = seen || c == bank;
-      if (!seen) candidates.push_back(bank);
-    }
-  }
-  return candidates;
-}
-
-}  // namespace
 
 int main() {
   bench::PrintHeader(
@@ -92,26 +64,13 @@ int main() {
   // (replication, failed-channels) grid then runs on the deterministic
   // parallel engine (exec/) and prints in index order -- the table is
   // byte-identical at any thread count.
-  struct Case {
-    std::uint32_t replication = 0;
-    ReplicationPlan plan;
-    std::vector<std::uint32_t> candidates;
-    Nanoseconds item_latency_ns = 0.0;
-  };
-  std::vector<Case> cases;
+  std::vector<FaultSweepCase> cases;
   for (std::uint32_t replication : {1u, 2u, 4u}) {
-    ReplicationOptions ropts;
-    ropts.lookups_per_table = model.lookups_per_table;
-    ropts.max_replicas = replication;
-    ropts.availability_replicas = replication;
-    Case c;
-    c.replication = replication;
-    c.plan = ReplicateAndPlace(model.tables, platform, ropts).value();
-    c.candidates = FailureCandidates(c.plan, platform.hbm_channels);
-    c.item_latency_ns = engine.ItemLatency() -
-                        engine.EmbeddingLookupLatency() +
-                        c.plan.lookup_latency_ns;
-    cases.push_back(std::move(c));
+    cases.push_back(
+        MakeFaultSweepCase(
+            model.tables, platform, model.lookups_per_table, replication,
+            engine.ItemLatency() - engine.EmbeddingLookupLatency())
+            .value());
   }
   struct Point {
     std::size_t case_index = 0;
@@ -125,10 +84,9 @@ int main() {
     }
   }
 
-  exec::ParallelRunner runner(
-      exec::ExecConfig::WithThreads(exec::DefaultThreads()));
+  exec::ParallelRunner runner(exec::DefaultThreads());
   const auto reports = runner.Map(grid.size(), [&](std::size_t p) {
-    const Case& c = cases[grid[p].case_index];
+    const FaultSweepCase& c = cases[grid[p].case_index];
     const std::vector<std::uint32_t> failed(
         c.candidates.begin(), c.candidates.begin() + grid[p].failed);
     const FaultSchedule schedule = FaultSchedule::FailChannels(failed);
@@ -149,7 +107,7 @@ int main() {
   });
 
   for (std::size_t p = 0; p < grid.size(); ++p) {
-    const Case& c = cases[grid[p].case_index];
+    const FaultSweepCase& c = cases[grid[p].case_index];
     const std::uint64_t k = grid[p].failed;
     const sched::SchedReport& report = reports[p];
     const double shed_rate = 1.0 - report.availability;

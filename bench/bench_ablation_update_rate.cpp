@@ -46,8 +46,7 @@ int main() {
   // same table at any thread count.
   const std::size_t num_rates = std::size(rates);
   const std::size_t num_policies = std::size(policies);
-  exec::ParallelRunner runner(
-      exec::ExecConfig::WithThreads(exec::DefaultThreads()));
+  exec::ParallelRunner runner(exec::DefaultThreads());
   const auto reports =
       runner.Map(num_rates * num_policies, [&](std::size_t p) {
         UpdateServingConfig config;

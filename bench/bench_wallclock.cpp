@@ -197,7 +197,7 @@ int main() {
               simulated_queries / 1e6, exec::DefaultThreads());
 
   auto run_sweep = [&](std::size_t threads) {
-    exec::ParallelRunner runner(exec::ExecConfig::WithThreads(threads));
+    exec::ParallelRunner runner(threads);
     return runner.Map(points.size(), [&](std::size_t p) {
       UpdateServingConfig config;
       config.item_latency_ns = engine.timing().item_latency_ns;

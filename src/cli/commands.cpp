@@ -463,7 +463,7 @@ Status CmdUpdateSweep(const ArgList& args, std::ostream& out) {
   // map cleanly onto the parallel runner. Reports come back in point order
   // and all printing happens below, serially -- stdout and the JSON file
   // are byte-identical at any --threads value.
-  exec::ParallelRunner runner(exec::ExecConfig::WithThreads(sweep->threads));
+  exec::ParallelRunner runner(sweep->threads);
   const std::vector<UpdateServingReport> reports =
       runner.Map(rates.size(), [&](std::size_t k) {
         UpdateServingConfig config;
@@ -552,49 +552,13 @@ Status CmdFaultSweep(const ArgList& args, std::ostream& out) {
   // read-only inputs); the flattened (replication, failed-channels) grid is
   // then mapped over the parallel runner, each point building its own fault
   // schedule, router, and one-pipeline fleet.
-  struct ReplicationCase {
-    std::uint32_t replication = 0;
-    ReplicationPlan plan;
-    std::vector<std::uint32_t> candidates;
-    Nanoseconds item_latency_ns = 0.0;
-  };
-  std::vector<ReplicationCase> cases;
+  std::vector<FaultSweepCase> cases;
   for (std::uint32_t replication : {1u, 2u, 4u}) {
-    ReplicationOptions ropts;
-    ropts.lookups_per_table = model->lookups_per_table;
-    ropts.max_replicas = replication;
-    ropts.availability_replicas = replication;
-    auto plan = ReplicateAndPlace(model->tables, platform, ropts);
-    if (!plan.ok()) return plan.status();
-
-    ReplicationCase rc;
-    rc.replication = replication;
-    rc.plan = std::move(*plan);
-
-    // Channels worth failing: distinct HBM banks actually serving lookups,
-    // round-robin by replica index (every table's first replica before any
-    // table's second) so k failures spread over k tables the way random
-    // channel failures do, instead of adversarially concentrating on one
-    // table. Deterministic, and guaranteed to hurt.
-    std::uint32_t max_replicas_seen = 0;
-    for (const auto& table : rc.plan.tables) {
-      max_replicas_seen = std::max(max_replicas_seen, table.replicas());
-    }
-    for (std::uint32_t i = 0; i < max_replicas_seen; ++i) {
-      for (const auto& table : rc.plan.tables) {
-        if (i >= table.replicas()) continue;
-        const std::uint32_t bank = table.banks[i];
-        if (bank >= platform.hbm_channels) continue;  // DDR never fails here
-        if (std::find(rc.candidates.begin(), rc.candidates.end(), bank) ==
-            rc.candidates.end()) {
-          rc.candidates.push_back(bank);
-        }
-      }
-    }
-    rc.item_latency_ns = engine->ItemLatency() -
-                         engine->EmbeddingLookupLatency() +
-                         rc.plan.lookup_latency_ns;
-    cases.push_back(std::move(rc));
+    auto c = MakeFaultSweepCase(
+        model->tables, platform, model->lookups_per_table, replication,
+        engine->ItemLatency() - engine->EmbeddingLookupLatency());
+    if (!c.ok()) return c.status();
+    cases.push_back(std::move(*c));
   }
 
   struct FaultPoint {
@@ -616,10 +580,10 @@ Status CmdFaultSweep(const ArgList& args, std::ostream& out) {
   // Queueing a query that is already doomed only delays every query
   // behind it, so the admission bound is the SLA.
   const Nanoseconds sla = Milliseconds(30);
-  exec::ParallelRunner runner(exec::ExecConfig::WithThreads(sweep->threads));
+  exec::ParallelRunner runner(sweep->threads);
   const std::vector<FaultPointResult> results =
       runner.Map(grid.size(), [&](std::size_t p) {
-        const ReplicationCase& rc = cases[grid[p].case_index];
+        const FaultSweepCase& rc = cases[grid[p].case_index];
         const std::uint64_t k = grid[p].failed_channels;
         const std::vector<std::uint32_t> failed(
             rc.candidates.begin(), rc.candidates.begin() + k);
@@ -781,7 +745,7 @@ Status CmdScaleout(const ArgList& args, std::ostream& out) {
     ServingReport report;
   };
   const Nanoseconds sla_ns = static_cast<double>(*sla_us) * 1000.0;
-  exec::ParallelRunner runner(exec::ExecConfig::WithThreads(sweep->threads));
+  exec::ParallelRunner runner(sweep->threads);
   const std::vector<ScaleoutResult> results =
       runner.Map(grid.size(), [&](std::size_t p) {
         const ScaleoutPoint& point = grid[p];

@@ -82,6 +82,4 @@ double Rng::NextGaussian() {
   return u * mul;
 }
 
-Rng Rng::Fork() { return Rng(Next()); }
-
 }  // namespace microrec

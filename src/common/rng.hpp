@@ -39,10 +39,6 @@ class Rng {
   /// Standard normal via Marsaglia polar method.
   double NextGaussian();
 
-  /// Returns a child generator with a seed derived from this one's stream;
-  /// used to give each table / worker an independent stream.
-  Rng Fork();
-
  private:
   std::uint64_t state_[4];
   bool has_spare_gaussian_ = false;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/status.hpp"
-
 namespace microrec {
 
 void RunningStats::Add(double x) {
@@ -26,41 +24,5 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-void PercentileTracker::Add(double x) {
-  samples_.push_back(x);
-  sorted_ = false;
-}
-
-void PercentileTracker::EnsureSorted() const {
-  const std::lock_guard<std::mutex> lock(sort_mutex_);
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-}
-
-double PercentileTracker::Percentile(double q) const {
-  MICROREC_CHECK(!samples_.empty());
-  MICROREC_CHECK(q >= 0.0 && q <= 1.0);
-  EnsureSorted();
-  const double pos = q * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-double PercentileTracker::Mean() const {
-  MICROREC_CHECK(!samples_.empty());
-  double sum = 0.0;
-  for (double s : samples_) sum += s;
-  return sum / static_cast<double>(samples_.size());
-}
-
-double PercentileTracker::Max() const {
-  MICROREC_CHECK(!samples_.empty());
-  return *std::max_element(samples_.begin(), samples_.end());
-}
 
 }  // namespace microrec

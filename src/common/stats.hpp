@@ -1,10 +1,8 @@
-// Streaming summary statistics and percentile helpers used by the serving
-// simulator and benchmark harnesses (latency distributions, SLA tracking).
+// Streaming summary statistics (one-pass moments). Percentiles come from
+// a sample vector and obs::SortedQuantile (obs/quantiles.hpp).
 #pragma once
 
 #include <cstddef>
-#include <mutex>
-#include <vector>
 
 namespace microrec {
 
@@ -28,35 +26,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Collects samples and answers percentile queries. Unsorted storage;
-/// Percentile() sorts lazily, caches the sorted order, and keeps repeated
-/// queries cheap (no re-sort until the next Add).
-///
-/// Thread safety: the lazy sort mutates state from a const method, so it is
-/// guarded by a mutex -- concurrent Percentile() calls from multiple
-/// threads are safe. Add() is NOT synchronized against readers or other
-/// writers (same contract as the rest of the class): finish writing before
-/// querying concurrently.
-class PercentileTracker {
- public:
-  void Add(double x);
-  std::size_t count() const { return samples_.size(); }
-
-  /// q in [0, 1]; linear interpolation between closest ranks.
-  /// Requires at least one sample.
-  double Percentile(double q) const;
-
-  double Mean() const;
-  double Max() const;
-
- private:
-  void EnsureSorted() const;
-
-  mutable std::mutex sort_mutex_;  ///< guards the lazy sort only
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
 };
 
 }  // namespace microrec

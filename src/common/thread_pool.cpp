@@ -38,17 +38,8 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
 void ThreadPool::ParallelFor(
     std::size_t count,
     const std::function<void(std::size_t, std::size_t)>& fn) {
-  ParallelFor(count, /*grain=*/0, fn);
-}
-
-void ThreadPool::ParallelFor(
-    std::size_t count, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
   if (count == 0) return;
-  const std::size_t default_chunk =
-      (count + workers_.size() - 1) / workers_.size();
-  const std::size_t chunk = std::max<std::size_t>(
-      {std::size_t{1}, grain, default_chunk});
+  const std::size_t chunk = (count + workers_.size() - 1) / workers_.size();
   if (chunk >= count) {
     // Single shard: run inline on the caller instead of round-tripping
     // through the queue. Besides latency this keeps the hot inference path

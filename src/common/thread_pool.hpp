@@ -1,7 +1,7 @@
 // Minimal fixed-size thread pool used by the CPU baseline engine to
 // parallelise embedding gathers and GEMM over worker threads (mirroring the
 // multi-core TensorFlow-Serving baseline in the paper) and by the exec
-// engine (src/exec/) to shard sweep points and Monte-Carlo replications.
+// engine (src/exec/) to shard sweep points.
 #pragma once
 
 #include <condition_variable>
@@ -29,12 +29,9 @@ class ThreadPool {
   /// Enqueues a task; the returned future completes when it has run.
   std::future<void> Submit(std::function<void()> task);
 
-  /// Splits [0, count) into contiguous shards, runs
-  /// fn(shard_begin, shard_end) on the pool, and blocks until all complete.
-  ///
-  /// `grain` is the minimum shard size (the last shard may be smaller);
-  /// grain == 0 picks the default of one shard per worker. A larger grain
-  /// bounds scheduling overhead when per-index work is tiny.
+  /// Splits [0, count) into one contiguous shard per worker (the last may
+  /// be smaller), runs fn(shard_begin, shard_end) on the pool, and blocks
+  /// until all complete.
   ///
   /// Always joins every shard before returning, even when a shard throws:
   /// the first worker exception (in shard order) is rethrown to the caller
@@ -42,8 +39,6 @@ class ThreadPool {
   /// reference are never touched by a still-running worker after
   /// ParallelFor returns or throws.
   void ParallelFor(std::size_t count,
-                   const std::function<void(std::size_t, std::size_t)>& fn);
-  void ParallelFor(std::size_t count, std::size_t grain,
                    const std::function<void(std::size_t, std::size_t)>& fn);
 
  private:

@@ -121,7 +121,8 @@ SystemSimReport SystemSimulator::RunArrivals(
           ? nullptr
           : &metrics->histogram("system_lookup_latency_ns", {}, latency_opts);
 
-  PercentileTracker lookup_latencies;
+  double lookup_latency_sum = 0.0;
+  double lookup_latency_max = 0.0;
   // One scratch result reused across every item: after the first item the
   // per-item lookup issue allocates nothing.
   LookupBatchResult batch;
@@ -131,7 +132,8 @@ SystemSimReport SystemSimulator::RunArrivals(
           Nanoseconds enter_ns) -> Nanoseconds {
         if (stage != 0) return -1.0;  // compute stages keep their defaults
         memory.IssueBatchInto(accesses, enter_ns, batch);
-        lookup_latencies.Add(batch.latency_ns());
+        lookup_latency_sum += batch.latency_ns();
+        lookup_latency_max = std::max(lookup_latency_max, batch.latency_ns());
         if (lookup_hist != nullptr) lookup_hist->Observe(batch.latency_ns());
         if (tracer != nullptr && tracer->SampleQuery(item)) {
           // Per-channel access spans: children of the embedding stage span
@@ -152,15 +154,21 @@ SystemSimReport SystemSimulator::RunArrivals(
   report.items = num_items;
   report.makespan_ns = result.makespan_ns;
   report.throughput_items_per_s = result.throughput_items_per_s();
-  PercentileTracker item_latencies;
-  for (const auto& item : result.items) {
-    item_latencies.Add(item.latency_ns());
+  std::vector<double> latencies(result.items.size());
+  for (std::size_t i = 0; i < latencies.size(); ++i) {
+    latencies[i] = result.items[i].latency_ns();
   }
-  report.item_latency_p50 = item_latencies.Percentile(0.50);
-  report.item_latency_p99 = item_latencies.Percentile(0.99);
-  report.item_latency_max = item_latencies.Max();
-  report.lookup_latency_mean = lookup_latencies.Mean();
-  report.lookup_latency_max = lookup_latencies.Max();
+  // Attribution decomposes the p99-ranked item, picked by the shared
+  // argsort + rank helper before the in-place sort below.
+  const std::size_t p99_item =
+      instrumented ? obs::ArgQuantileIndex(latencies, 0.99) : 0;
+  std::sort(latencies.begin(), latencies.end());
+  report.item_latency_p50 = obs::SortedQuantile(latencies, 0.50);
+  report.item_latency_p99 = obs::SortedQuantile(latencies, 0.99);
+  report.item_latency_max = latencies.back();
+  report.lookup_latency_mean =
+      lookup_latency_sum / static_cast<double>(num_items);
+  report.lookup_latency_max = lookup_latency_max;
 
   double peak = 0.0;
   for (std::uint32_t b = 0; b < memory.num_banks(); ++b) {
@@ -182,14 +190,7 @@ SystemSimReport SystemSimulator::RunArrivals(
     }
 
     // Attribution: the p99-ranked item's latency decomposed per stage, so
-    // the table's rows sum exactly to an observed end-to-end latency. The
-    // shared helper replicates the argsort + rank formula this code used
-    // inline, so the selected item is unchanged.
-    std::vector<double> latencies(result.items.size());
-    for (std::size_t i = 0; i < latencies.size(); ++i) {
-      latencies[i] = result.items[i].latency_ns();
-    }
-    const std::size_t p99_item = obs::ArgQuantileIndex(latencies, 0.99);
+    // the table's rows sum exactly to an observed end-to-end latency.
     report.p99_item_latency_ns = result.items[p99_item].latency_ns();
 
     const auto& share = observer->share();

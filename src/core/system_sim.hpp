@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/status.hpp"
 #include "common/units.hpp"
 #include "core/microrec.hpp"

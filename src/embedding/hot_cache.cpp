@@ -50,11 +50,4 @@ bool EmbeddingCacheSim::Access(std::uint32_t table_id, std::uint64_t row,
   return false;
 }
 
-void EmbeddingCacheSim::Clear() {
-  lru_.clear();
-  index_.clear();
-  stats_.bytes_cached = 0;
-  if (metrics_.bytes_cached != nullptr) metrics_.bytes_cached->Set(0.0);
-}
-
 }  // namespace microrec

@@ -45,9 +45,6 @@ class EmbeddingCacheSim {
   /// capacity are never cached (counted as misses, no insertion).
   bool Access(std::uint32_t table_id, std::uint64_t row, Bytes entry_bytes);
 
-  /// Drops all entries; keeps cumulative hit/miss counters.
-  void Clear();
-
   /// Mirrors hit/miss/eviction counts and the occupancy gauge
   /// into `registry` (names prefixed `embedding_cache_`). Pass nullptr to
   /// detach. Counts-only: cache behaviour is unchanged.

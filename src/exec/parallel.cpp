@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 
 namespace microrec::exec {
 
@@ -16,11 +17,8 @@ std::size_t ResolveThreads(std::size_t requested) {
   return requested == 0 ? DefaultThreads() : requested;
 }
 
-ParallelRunner::ParallelRunner(ExecConfig config)
-    : threads_(ResolveThreads(config.threads)),
-      grain_(std::max<std::size_t>(config.grain, 1)) {
-  if (threads_ > 1) pool_.emplace(threads_);
-}
+ParallelRunner::ParallelRunner(std::size_t threads)
+    : threads_(ResolveThreads(threads)) {}
 
 std::uint64_t ParallelRunner::SubSeed(std::uint64_t base_seed,
                                       std::uint64_t index) {
@@ -29,12 +27,13 @@ std::uint64_t ParallelRunner::SubSeed(std::uint64_t base_seed,
 
 void ParallelRunner::RunIndexed(
     std::size_t count, const std::function<void(std::size_t)>& body) {
-  if (count == 0) return;
-  if (!pool_.has_value()) {
+  const std::size_t workers = std::min(threads_, count);
+  if (workers <= 1) {
     for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }
-  pool_->ParallelFor(count, grain_, [&](std::size_t begin, std::size_t end) {
+  ThreadPool pool(workers);
+  pool.ParallelFor(count, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) body(i);
   });
 }

@@ -4,8 +4,8 @@
 // map over *independent* experiment points: point i depends only on its
 // index, its own sub-seeded RNG streams, and shared read-only state (the
 // model, the engine timing, the arrival vector). ParallelRunner shards
-// such maps across the common ThreadPool while keeping the output
-// bit-identical to a serial run:
+// such maps across a ThreadPool while keeping the output bit-identical to
+// a serial run:
 //
 //   * results land in a pre-sized vector at their point index, so the
 //     reduction order is the index order no matter which thread finished
@@ -13,26 +13,22 @@
 //   * randomized points derive their seed as SubSeed(base, index)
 //     (SplitMix64 seed hashing, the same scheme DeltaStream and the fault
 //     schedule already use per stream) -- never from a shared generator
-//     whose consumption order would depend on scheduling;
-//   * per-point obs::MetricsRegistry instances are snapshotted and merged
-//     in point order with obs::MergeSnapshots, whose counter adds and
-//     bucket-wise histogram merges are exact (integer adds), so the merged
-//     snapshot serializes byte-identically at any thread count.
+//     whose consumption order would depend on scheduling.
 //
-// With threads == 1 the runner degenerates to a plain in-order loop with no
-// pool, no futures, and no snapshot detour beyond the same merge call --
-// that loop *is* the definition of the serial baseline the N-thread run
-// must reproduce, and tests/exec_test.cpp + bench_wallclock enforce the
-// equivalence end to end. See DESIGN.md section 11 for the contract.
+// Points never share telemetry: a sweep that records metrics or events
+// does so inside one point, so nothing is merged across threads.
+//
+// With one worker the runner degenerates to a plain in-order loop with no
+// pool and no futures -- that loop *is* the definition of the serial
+// baseline the N-thread run must reproduce, and tests/exec_test.cpp +
+// bench_wallclock enforce the equivalence end to end. See DESIGN.md
+// section 11 for the contract.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <functional>
 #include <type_traits>
 #include <vector>
-
-#include "common/thread_pool.hpp"
-#include "obs/metrics.hpp"
 
 namespace microrec::exec {
 
@@ -43,35 +39,12 @@ std::size_t DefaultThreads();
 /// (DefaultThreads), anything else is taken literally.
 std::size_t ResolveThreads(std::size_t requested);
 
-struct ExecConfig {
-  /// Worker threads; 1 runs inline on the caller with no pool, 0 resolves
-  /// to DefaultThreads().
-  std::size_t threads = 1;
-  /// Minimum points per shard handed to the pool (ThreadPool grain).
-  /// Sweep points are coarse (whole simulations), so the default of 1
-  /// point per shard maximizes load balance.
-  std::size_t grain = 1;
-
-  static ExecConfig WithThreads(std::size_t threads) {
-    ExecConfig config;
-    config.threads = threads;
-    return config;
-  }
-};
-
-/// Results of a metrics-carrying run: per-point results in index order plus
-/// the point-ordered exact merge of every point's registry.
-template <typename R>
-struct ShardedRun {
-  std::vector<R> results;
-  obs::MetricsSnapshot metrics;
-};
-
 class ParallelRunner {
  public:
-  explicit ParallelRunner(ExecConfig config = {});
-
-  std::size_t threads() const { return threads_; }
+  /// `threads` workers at most; 0 resolves to DefaultThreads(). A Map
+  /// starts no more workers than it has points, and one worker runs inline
+  /// on the caller.
+  explicit ParallelRunner(std::size_t threads = 1);
 
   /// The sub-seeding scheme: point `index` of a run seeded with `base`
   /// draws from an RNG stream seeded HashSeed(base, index). Exposed so
@@ -92,48 +65,15 @@ class ParallelRunner {
     return results;
   }
 
-  /// Monte-Carlo replication: fn(rep, SubSeed(base_seed, rep)) for every
-  /// replication, results in replication order.
-  template <typename Fn>
-  auto Replicate(std::size_t replications, std::uint64_t base_seed, Fn&& fn)
-      -> std::vector<std::invoke_result_t<Fn&, std::size_t, std::uint64_t>> {
-    return Map(replications, [&](std::size_t rep) {
-      return fn(rep, SubSeed(base_seed, rep));
-    });
-  }
-
-  /// Map where every point gets its own fresh MetricsRegistry; the
-  /// registries are snapshotted and merged in point order (exact counter /
-  /// histogram merge, last-writer-wins gauges -- see obs::MergeSnapshots).
-  template <typename Fn>
-  auto MapWithMetrics(std::size_t count, Fn&& fn)
-      -> ShardedRun<
-          std::invoke_result_t<Fn&, std::size_t, obs::MetricsRegistry&>> {
-    using R = std::invoke_result_t<Fn&, std::size_t, obs::MetricsRegistry&>;
-    static_assert(std::is_default_constructible_v<R>,
-                  "Map results are pre-sized; R needs a default ctor");
-    ShardedRun<R> run;
-    run.results.resize(count);
-    std::vector<obs::MetricsSnapshot> shards(count);
-    RunIndexed(count, [&](std::size_t i) {
-      obs::MetricsRegistry registry;
-      run.results[i] = fn(i, registry);
-      shards[i] = registry.Snapshot();
-    });
-    run.metrics = obs::MergeSnapshots(shards);
-    return run;
-  }
-
  private:
-  /// Runs body(i) for i in [0, count): inline in order when threads_ == 1,
-  /// sharded over the pool otherwise. The first worker exception (in shard
-  /// order) propagates after all shards finish.
+  /// Runs body(i) for i in [0, count): inline in order with one worker,
+  /// sharded over a pool of min(threads_, count) workers otherwise. The
+  /// first worker exception (in shard order) propagates after all shards
+  /// finish.
   void RunIndexed(std::size_t count,
                   const std::function<void(std::size_t)>& body);
 
   std::size_t threads_ = 1;
-  std::size_t grain_ = 1;
-  std::optional<ThreadPool> pool_;  ///< engaged only when threads_ > 1
 };
 
 }  // namespace microrec::exec

@@ -1,6 +1,7 @@
 #include "faults/failover.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/status.hpp"
 
@@ -76,14 +77,37 @@ Nanoseconds FailoverRouter::DegradedLookupLatency(
   return worst;
 }
 
-std::uint32_t FailoverRouter::LiveReplicas(std::size_t t,
-                                           Nanoseconds now) const {
-  MICROREC_CHECK(t < plan_->tables.size());
-  std::uint32_t live = 0;
-  for (std::uint32_t bank : plan_->tables[t].banks) {
-    if (schedule_ == nullptr || schedule_->BankAvailable(bank, now)) ++live;
+StatusOr<FaultSweepCase> MakeFaultSweepCase(
+    const std::vector<TableSpec>& tables, const MemoryPlatformSpec& platform,
+    std::uint32_t lookups_per_table, std::uint32_t replication,
+    Nanoseconds compute_latency_ns) {
+  ReplicationOptions ropts;
+  ropts.lookups_per_table = lookups_per_table;
+  ropts.max_replicas = replication;
+  ropts.availability_replicas = replication;
+  auto plan = ReplicateAndPlace(tables, platform, ropts);
+  if (!plan.ok()) return plan.status();
+
+  FaultSweepCase c;
+  c.replication = replication;
+  c.plan = std::move(*plan);
+  std::uint32_t max_replicas = 0;
+  for (const auto& table : c.plan.tables) {
+    max_replicas = std::max(max_replicas, table.replicas());
   }
-  return live;
+  for (std::uint32_t i = 0; i < max_replicas; ++i) {
+    for (const auto& table : c.plan.tables) {
+      if (i >= table.replicas()) continue;
+      const std::uint32_t bank = table.banks[i];
+      if (bank >= platform.hbm_channels) continue;
+      if (std::find(c.candidates.begin(), c.candidates.end(), bank) ==
+          c.candidates.end()) {
+        c.candidates.push_back(bank);
+      }
+    }
+  }
+  c.item_latency_ns = compute_latency_ns + c.plan.lookup_latency_ns;
+  return c;
 }
 
 }  // namespace microrec

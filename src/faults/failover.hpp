@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.hpp"
 #include "common/units.hpp"
 #include "faults/fault_schedule.hpp"
 #include "memsim/dram_timing.hpp"
@@ -57,14 +58,34 @@ class FailoverRouter {
                                     Nanoseconds now,
                                     std::vector<Nanoseconds>& bank_ns) const;
 
-  /// Live replicas of table index `t` at `now` (over primaries + spares).
-  std::uint32_t LiveReplicas(std::size_t t, Nanoseconds now) const;
-
   const ReplicationPlan& plan() const { return *plan_; }
 
  private:
   const ReplicationPlan* plan_;
   const FaultSchedule* schedule_;
 };
+
+/// One replication factor of a "what does losing k HBM channels cost?"
+/// sweep (microrec fault-sweep, bench_ablation_faults).
+struct FaultSweepCase {
+  std::uint32_t replication = 0;
+  ReplicationPlan plan;  ///< max and availability replicas = replication
+  /// Channels worth failing, in failure order: distinct HBM banks actually
+  /// serving lookups, round-robin by replica index (every table's first
+  /// replica before any table's second) so k failures spread over k tables
+  /// the way random channel failures do, instead of adversarially
+  /// concentrating on one table. DDR banks never fail here.
+  std::vector<std::uint32_t> candidates;
+  /// Per-item pipeline latency with this plan's lookup latency.
+  Nanoseconds item_latency_ns = 0.0;
+};
+
+/// Places `tables` at `replication` and derives the failure order and the
+/// item latency: `compute_latency_ns` (an item's latency minus its lookup
+/// latency) plus the plan's lookup latency.
+StatusOr<FaultSweepCase> MakeFaultSweepCase(
+    const std::vector<TableSpec>& tables, const MemoryPlatformSpec& platform,
+    std::uint32_t lookups_per_table, std::uint32_t replication,
+    Nanoseconds compute_latency_ns);
 
 }  // namespace microrec

@@ -68,8 +68,6 @@ class DramBank {
   /// Closes the open row (models refresh / precharge-all).
   void PrechargeAll();
 
-  void ResetStats() { stats_ = DramBankStats{}; }
-
  private:
   DramBankTiming timing_;
   std::uint64_t open_row_ = kNoOpenRow;

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/units.hpp"
 #include "memsim/dram_timing.hpp"
@@ -52,10 +51,6 @@ class ChannelSim {
   /// completion_ns. Requests must be submitted in nondecreasing arrival
   /// order.
   MemCompletion Serve(const MemRequest& request);
-
-  /// Serves a batch (sorted by arrival internally) and returns completions
-  /// in service order.
-  std::vector<MemCompletion> ServeAll(std::vector<MemRequest> requests);
 
   /// Forgets all state (time returns to 0); stats are reset too.
   void Reset();

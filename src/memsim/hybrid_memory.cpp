@@ -39,9 +39,6 @@ MemsimTelemetry::MemsimTelemetry(obs::MetricsRegistry* registry,
       banks_[b].accesses =
           &registry->counter("memsim_bank_accesses_total", labels);
       banks_[b].bytes = &registry->counter("memsim_bank_bytes_total", labels);
-      // Kept so the exposition's schema is stable; memsim never rejects
-      // an access, so it reads 0.
-      registry->counter("memsim_bank_rejected_total", labels);
       banks_[b].queue_backlog_ns =
           &registry->gauge("memsim_bank_queue_backlog_ns", labels);
       banks_[b].queue_backlog_peak_ns =
@@ -149,11 +146,6 @@ void HybridMemorySystem::IssueBatchInto(std::span<const BankAccess> accesses,
     }
     out.completions.push_back(done);
   }
-}
-
-Nanoseconds HybridMemorySystem::BatchLatencyIdle(
-    std::span<const BankAccess> accesses) const {
-  return RoundLatencyModel(spec_).BatchLatency(accesses);
 }
 
 const ChannelStats& HybridMemorySystem::bank_stats(std::uint32_t bank) const {

@@ -123,10 +123,6 @@ class HybridMemorySystem {
   void IssueBatchInto(std::span<const BankAccess> accesses,
                       Nanoseconds start_ns, LookupBatchResult& out);
 
-  /// Latency of the batch if the system were idle, without mutating
-  /// simulation time (convenience for analytic callers).
-  Nanoseconds BatchLatencyIdle(std::span<const BankAccess> accesses) const;
-
   const ChannelStats& bank_stats(std::uint32_t bank) const;
   const ChannelSim& bank(std::uint32_t bank) const;
 

@@ -11,6 +11,9 @@ namespace microrec::obs {
 
 namespace {
 
+/// Cap on events embedded per postmortem alert (the most recent are kept).
+constexpr std::size_t kPostmortemMaxEvents = 512;
+
 bool IsTerminal(SchedEventKind kind) {
   return kind == SchedEventKind::kServe ||
          kind == SchedEventKind::kHedgeWin ||
@@ -265,10 +268,6 @@ std::string RenderTimeline(const EventLog& log,
   return os.str();
 }
 
-PostmortemTrigger::PostmortemTrigger(const EventLog& log,
-                                     PostmortemConfig config)
-    : log_(log), config_(config) {}
-
 PostmortemReport PostmortemTrigger::Trigger(const SloSpec& spec,
                                             const SloReport& slo) const {
   PostmortemReport report;
@@ -298,10 +297,9 @@ PostmortemReport PostmortemTrigger::Trigger(const SloSpec& spec,
     alert.peak_burn = rule.peak_burn;
     alert.alert_ns = rule.first_alert_ns;
 
-    Nanoseconds window = config_.window_ns;
-    if (window <= 0.0 && r < spec.rules.size()) {
-      window = spec.rules[r].long_window_ns;
-    }
+    // The fired rule's long window (spec.rules, matched by index).
+    Nanoseconds window =
+        r < spec.rules.size() ? spec.rules[r].long_window_ns : 0.0;
     if (window <= 0.0) window = alert.alert_ns;  // whole run up to the alert
     alert.window_begin_ns = std::max(0.0, alert.alert_ns - window);
 
@@ -314,10 +312,10 @@ PostmortemReport PostmortemTrigger::Trigger(const SloSpec& spec,
       in_window.push_back(e);
     }
     alert.events_in_window = in_window.size();
-    if (in_window.size() > config_.max_events) {
+    if (in_window.size() > kPostmortemMaxEvents) {
       in_window.erase(in_window.begin(),
                       in_window.end() -
-                          static_cast<std::ptrdiff_t>(config_.max_events));
+                          static_cast<std::ptrdiff_t>(kPostmortemMaxEvents));
     }
     alert.events = std::move(in_window);
 

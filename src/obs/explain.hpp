@@ -65,14 +65,6 @@ std::vector<QueryTimeline> RankWorstQueries(const EventLog& log,
 /// breaker transition events).
 std::string RenderTimeline(const EventLog& log, const QueryTimeline& timeline);
 
-struct PostmortemConfig {
-  /// Trailing window captured before each alert; 0 derives it from the
-  /// fired rule's long window (spec.rules, matched by index).
-  Nanoseconds window_ns = 0.0;
-  /// Cap on events embedded per alert (the most recent are kept).
-  std::size_t max_events = 512;
-};
-
 /// One fired burn-rate rule's snapshot.
 struct PostmortemAlert {
   std::string severity;
@@ -82,10 +74,10 @@ struct PostmortemAlert {
   /// Captured window [window_begin_ns, alert_ns]; always contains
   /// alert_ns.
   Nanoseconds window_begin_ns = 0.0;
-  /// Events inside the window, causal order, trailing-capped at
-  /// max_events.
+  /// Events inside the window, causal order; only the most recent 512
+  /// are kept.
   std::vector<SchedEvent> events;
-  std::uint64_t events_in_window = 0;  ///< before the max_events cap
+  std::uint64_t events_in_window = 0;  ///< before the 512-event cap
   /// Per-kind event counts: activity inside the window vs the whole log
   /// (index-aligned pairs, only kinds that occur at all).
   std::vector<std::string> kind_names;
@@ -115,12 +107,13 @@ struct PostmortemReport {
 };
 
 /// Watches EvaluateSlo results for a recorded run and snapshots the log
-/// around every fired burn-rate rule. `spec` supplies the window lengths
-/// the rules fired over (SloReport does not carry them); `slo` must be
-/// the report EvaluateSlo produced for that spec.
+/// around every fired burn-rate rule, over the trailing window the rule
+/// fired on. `spec` supplies those window lengths (SloReport does not
+/// carry them); `slo` must be the report EvaluateSlo produced for that
+/// spec.
 class PostmortemTrigger {
  public:
-  explicit PostmortemTrigger(const EventLog& log, PostmortemConfig config = {});
+  explicit PostmortemTrigger(const EventLog& log) : log_(log) {}
 
   /// Builds the postmortem for `slo`'s fired rules (alerts is empty when
   /// nothing fired -- the report still carries the budget numbers).
@@ -128,7 +121,6 @@ class PostmortemTrigger {
 
  private:
   const EventLog& log_;
-  PostmortemConfig config_;
 };
 
 }  // namespace microrec::obs

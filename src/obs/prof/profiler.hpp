@@ -49,10 +49,6 @@ struct ProfilerOptions {
   /// Requested backend tier. kPerfEvent degrades to kTimer when the
   /// syscall is unavailable; kTimer and kNull are honored exactly.
   ProfBackend backend = ProfBackend::kPerfEvent;
-  /// Per-batch wall-latency histogram resolution: 1 us first bucket,
-  /// 1.1x growth, 192 buckets reaches ~85 s with <=10% quantile error.
-  HistogramOptions batch_histogram = {
-      .min_value = 1e3, .growth = 1.1, .num_buckets = 192};
 };
 
 class HwProfiler {

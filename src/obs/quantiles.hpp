@@ -1,16 +1,12 @@
 // Shared quantile arithmetic for every latency summary in the repo.
 //
-// Three call sites used to carry their own percentile code: the serving
-// summarizer (via PercentileTracker), the scale-out simulators (through the
-// same summarizer), and the system simulator's p99-item ranking. They now
-// all funnel through these helpers, so "p99" means the same interpolation
-// everywhere -- and the critical-path attribution engine ranks queries with
-// the exact index formula the SystemSimulator report uses, keeping the two
-// views of "the p99 item" literally the same item.
-//
-// The interpolation is bit-for-bit the formula PercentileTracker::Percentile
-// has always used (closest-rank linear interpolation over the sorted
-// samples); swapping a call site onto these helpers changes no output byte.
+// The serving summarizer, the system and update-serving simulators, and
+// the system simulator's p99-item ranking all funnel through these
+// helpers, so "p99" means the same interpolation everywhere (closest-rank
+// linear interpolation over the sorted samples) -- and the critical-path
+// attribution engine ranks queries with the exact index formula the
+// SystemSimulator report uses, keeping the two views of "the p99 item"
+// literally the same item.
 #pragma once
 
 #include <cstddef>
@@ -19,8 +15,7 @@
 namespace microrec::obs {
 
 /// Linear interpolation between closest ranks over an already-sorted,
-/// non-empty sample vector; q in [0, 1]. Identical arithmetic to
-/// PercentileTracker::Percentile (common/stats.hpp).
+/// non-empty sample vector; q in [0, 1] (both checked).
 double SortedQuantile(const std::vector<double>& sorted, double q);
 
 /// Sorts a copy and interpolates; convenience for one-shot summaries.

@@ -215,7 +215,7 @@ ChaosSweepResult RunChaosSweep(const ChaosSweepConfig& config) {
         BuildChaosScenario(s, config.fault_seed, span_ns));
   }
 
-  exec::ParallelRunner runner(exec::ExecConfig::WithThreads(config.threads));
+  exec::ParallelRunner runner(config.threads);
   const std::size_t grid_size = intensities.size() * kNumChaosPolicies;
   ChaosSweepResult result;
   result.records = runner.Map(grid_size, [&](std::size_t p) {

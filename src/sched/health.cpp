@@ -6,18 +6,6 @@
 
 namespace microrec::sched {
 
-const char* BreakerStateName(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half-open";
-  }
-  return "?";
-}
-
 CircuitBreaker::CircuitBreaker(const CircuitBreakerConfig& config)
     : config_(config), cooldown_current_(config.cooldown_ns) {
   MICROREC_CHECK(config.failure_threshold >= 1);

@@ -22,8 +22,6 @@ namespace microrec::sched {
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
-const char* BreakerStateName(BreakerState state);
-
 struct CircuitBreakerConfig {
   /// Consecutive failures that trip a closed breaker open.
   std::uint32_t failure_threshold = 3;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "common/rng.hpp"
 
@@ -22,17 +21,10 @@ const char* ArrivalProcessName(ArrivalProcess process) {
   return "unknown";
 }
 
-StatusOr<ArrivalProcess> ParseArrivalProcess(std::string_view name) {
-  if (name == "poisson") return ArrivalProcess::kPoisson;
-  if (name == "mmpp") return ArrivalProcess::kMmpp;
-  if (name == "flash-crowd") return ArrivalProcess::kFlashCrowd;
-  if (name == "diurnal") return ArrivalProcess::kDiurnal;
-  return Status::InvalidArgument("unknown arrival process '" +
-                                 std::string(name) +
-                                 "' (poisson|mmpp|flash-crowd|diurnal)");
-}
-
 namespace {
+
+/// Relative swing of the diurnal rate around its base.
+constexpr double kDiurnalAmplitude = 0.8;
 
 /// Rate function lambda(t) of the non-homogeneous processes. The MMPP
 /// state timeline is materialized lazily as t advances, drawing dwell
@@ -51,7 +43,7 @@ class RateEnvelope {
       case ArrivalProcess::kFlashCrowd:
         return config_.rate_qps * config_.burst_multiplier;
       case ArrivalProcess::kDiurnal:
-        return config_.rate_qps * (1.0 + config_.diurnal_amplitude);
+        return config_.rate_qps * (1.0 + kDiurnalAmplitude);
     }
     return config_.rate_qps;
   }
@@ -84,7 +76,7 @@ class RateEnvelope {
         const double phase =
             2.0 * 3.14159265358979323846 * t / config_.diurnal_period_ns;
         return config_.rate_qps *
-               (1.0 + config_.diurnal_amplitude * std::sin(phase));
+               (1.0 + kDiurnalAmplitude * std::sin(phase));
       }
     }
     return config_.rate_qps;

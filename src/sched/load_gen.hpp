@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "common/status.hpp"
@@ -30,7 +29,6 @@ enum class ArrivalProcess {
 };
 
 const char* ArrivalProcessName(ArrivalProcess process);
-StatusOr<ArrivalProcess> ParseArrivalProcess(std::string_view name);
 
 /// Bimodal query-size mix: most queries score a small candidate set, a
 /// fraction re-rank a large one (the paper's batch dimension).
@@ -58,9 +56,8 @@ struct LoadGenConfig {
   Nanoseconds flash_start_ns = Milliseconds(10);
   Nanoseconds flash_duration_ns = Milliseconds(10);
 
-  // Diurnal: rate(t) = base * (1 + amplitude * sin(2 pi t / period)).
+  // Diurnal: rate(t) = base * (1 + 0.8 * sin(2 pi t / period)).
   Nanoseconds diurnal_period_ns = Milliseconds(40);
-  double diurnal_amplitude = 0.8;  ///< in [0, 1)
 };
 
 /// Generates `num_queries` queries with nondecreasing arrivals and ids

@@ -98,13 +98,22 @@ class QueueDepthPolicy final : public SchedulingPolicy {
   }
 };
 
+// The SLO-aware gate's burn-rate controller.
+constexpr std::size_t kSloWindow = 256;  // outcomes in the feedback window
+constexpr double kBurnHigh = 1.0;        // shrink the gate at or above
+constexpr double kBurnLow = 0.25;        // relax the gate at or below
+constexpr double kGateInit = 0.4;        // fraction of the SLA
+constexpr double kGateMin = 0.02;
+constexpr double kGateMax = 0.6;
+constexpr double kGateShrink = 0.7;
+constexpr double kGateGrow = 1.05;
+
 class SloAwarePolicy final : public SchedulingPolicy {
  public:
   explicit SloAwarePolicy(const SloAwarePolicyConfig& config)
-      : config_(config), gate_(config.occupancy_init) {
+      : config_(config), gate_(kGateInit) {
     MICROREC_CHECK(config.sla_ns > 0.0);
     MICROREC_CHECK(config.objective > 0.0 && config.objective < 1.0);
-    MICROREC_CHECK(config.window >= 1);
   }
 
   std::string_view name() const override { return "slo-aware"; }
@@ -147,17 +156,17 @@ class SloAwarePolicy final : public SchedulingPolicy {
         !outcome.served || outcome.latency_ns > config_.sla_ns;
     window_.push_back(bad);
     bad_in_window_ += bad ? 1 : 0;
-    if (window_.size() > config_.window) {
+    if (window_.size() > kSloWindow) {
       bad_in_window_ -= window_.front() ? 1 : 0;
       window_.pop_front();
     }
     const double bad_fraction = static_cast<double>(bad_in_window_) /
                                 static_cast<double>(window_.size());
     const double burn = bad_fraction / (1.0 - config_.objective);
-    if (burn >= config_.burn_high) {
-      gate_ = std::max(config_.occupancy_min, gate_ * config_.shrink);
-    } else if (burn <= config_.burn_low) {
-      gate_ = std::min(config_.occupancy_max, gate_ * config_.grow);
+    if (burn >= kBurnHigh) {
+      gate_ = std::max(kGateMin, gate_ * kGateShrink);
+    } else if (burn <= kBurnLow) {
+      gate_ = std::min(kGateMax, gate_ * kGateGrow);
     }
   }
 

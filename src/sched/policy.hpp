@@ -81,21 +81,14 @@ std::unique_ptr<SchedulingPolicy> MakeQueueDepthPolicy();
 /// large re-rank queries offload to the throughput path first and small
 /// queries keep the low-latency path -- the MP-Rec-style split.
 ///
-/// The threshold adapts from SLO feedback: a sliding window of recent
-/// outcomes yields an error-budget burn rate (bad fraction over 1 -
-/// objective); sustained burn >= burn_high multiplicatively shrinks the
-/// threshold (protect the fast path earlier), burn <= burn_low relaxes it.
+/// The threshold adapts from SLO feedback: a sliding window of the last
+/// 256 outcomes yields an error-budget burn rate (bad fraction over 1 -
+/// objective); burn >= 1 multiplicatively shrinks the threshold (protect
+/// the fast path earlier), burn <= 0.25 relaxes it. The threshold starts
+/// at 0.4 of the SLA and stays within [0.02, 0.6].
 struct SloAwarePolicyConfig {
   Nanoseconds sla_ns = 0.0;
   double objective = 0.99;  ///< target good fraction, as in obs::SloSpec
-  std::size_t window = 256;  ///< outcomes in the sliding feedback window
-  double burn_high = 1.0;    ///< shrink threshold at or above this burn
-  double burn_low = 0.25;    ///< relax threshold at or below this burn
-  double occupancy_init = 0.4;  ///< initial gate, as a fraction of the SLA
-  double occupancy_min = 0.02;
-  double occupancy_max = 0.6;
-  double shrink = 0.7;
-  double grow = 1.05;
 };
 
 std::unique_ptr<SchedulingPolicy> MakeSloAwarePolicy(

@@ -73,7 +73,7 @@ SchedSweepResult RunSchedSweep(const SweepGridConfig& config) {
     streams.push_back(GenerateLoad(load));
   }
 
-  exec::ParallelRunner runner(exec::ExecConfig::WithThreads(config.threads));
+  exec::ParallelRunner runner(config.threads);
   const std::size_t grid_size = kNumProcesses * kNumPolicies;
   SchedSweepResult result;
   result.records = runner.Map(grid_size, [&](std::size_t p) {

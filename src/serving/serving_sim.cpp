@@ -64,8 +64,7 @@ ServingReport SummarizeServing(const std::vector<Nanoseconds>& arrivals,
       makespan_end > 0.0
           ? static_cast<double>(arrivals.size()) / ToSeconds(makespan_end)
           : 0.0;
-  // Shared quantile helper, same interpolation (and, summing the sorted
-  // samples, the same floating-point mean) PercentileTracker produced here.
+  // Shared quantile helper; the mean sums the sorted samples.
   std::sort(latencies.begin(), latencies.end());
   report.p50 = obs::SortedQuantile(latencies, 0.50);
   report.p95 = obs::SortedQuantile(latencies, 0.95);

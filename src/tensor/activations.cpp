@@ -6,8 +6,4 @@ void ReluInPlace(std::span<float> values) {
   for (float& v : values) v = Relu(v);
 }
 
-void SigmoidInPlace(std::span<float> values) {
-  for (float& v : values) v = Sigmoid(v);
-}
-
 }  // namespace microrec

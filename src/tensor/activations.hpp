@@ -12,6 +12,5 @@ inline float Relu(float x) { return x > 0.0f ? x : 0.0f; }
 inline float Sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
 void ReluInPlace(std::span<float> values);
-void SigmoidInPlace(std::span<float> values);
 
 }  // namespace microrec

@@ -6,6 +6,7 @@
 
 #include "common/stats.hpp"
 #include "common/status.hpp"
+#include "obs/quantiles.hpp"
 #include "update/replan.hpp"
 
 namespace microrec {
@@ -81,7 +82,8 @@ UpdateServingReport SimulateServingWithUpdates(
   std::vector<BankAccess> lookup =
       plan.ToBankAccesses(config.placement.lookups_per_table);
 
-  PercentileTracker staleness;
+  std::vector<double> staleness;
+  staleness.reserve(arrivals.size());
   RunningStats interference;
 
   // Resolve histogram handles once; the hot loop checks a single pointer so
@@ -205,7 +207,7 @@ UpdateServingReport SimulateServingWithUpdates(
 
     roll_publishes_forward(start);
     const Nanoseconds stale = std::max(0.0, newest_generated - newest_published);
-    staleness.Add(stale);
+    staleness.push_back(stale);
     if (staleness_hist != nullptr) staleness_hist->Observe(stale);
     completions[i] = start + config.item_latency_ns;
     last_start = start;
@@ -222,11 +224,14 @@ UpdateServingReport SimulateServingWithUpdates(
   report.serving = SummarizeServing(arrivals, completions, config.sla_ns);
   record_outcomes();
   report.update_bytes_written = injector.stats().bytes_written;
-  report.staleness_p50 = staleness.Percentile(0.50);
-  report.staleness_p95 = staleness.Percentile(0.95);
-  report.staleness_p99 = staleness.Percentile(0.99);
-  report.staleness_max = staleness.Max();
-  report.staleness_mean = staleness.Mean();
+  std::sort(staleness.begin(), staleness.end());
+  report.staleness_p50 = obs::SortedQuantile(staleness, 0.50);
+  report.staleness_p95 = obs::SortedQuantile(staleness, 0.95);
+  report.staleness_p99 = obs::SortedQuantile(staleness, 0.99);
+  report.staleness_max = staleness.back();
+  double staleness_sum = 0.0;
+  for (const double s : staleness) staleness_sum += s;
+  report.staleness_mean = staleness_sum / static_cast<double>(staleness.size());
   report.interference_mean = interference.mean();
   report.interference_max = interference.max();
   if (config.metrics != nullptr) {

@@ -518,6 +518,17 @@ TEST_F(CliTest, SweepThreadsZeroMeansHardwareConcurrency) {
   EXPECT_TRUE(status.ok()) << status.message();
 }
 
+TEST_F(CliTest, SweepCapsHugeThreadsAtThePointCount) {
+  // A --threads far beyond the grid starts one worker per point at most,
+  // so it neither aborts nor changes a byte of the report.
+  auto [s1, out1] = Run({"sched-sweep", "--queries", "10", "--threads", "1"});
+  auto [smax, outmax] = Run({"sched-sweep", "--queries", "10", "--threads",
+                             "18446744073709551615"});
+  ASSERT_TRUE(s1.ok()) << s1.message();
+  ASSERT_TRUE(smax.ok()) << smax.message();
+  EXPECT_EQ(out1, outmax);
+}
+
 TEST_F(CliTest, SweepRejectsBadThreads) {
   const std::string model_path = Path("model.txt");
   ASSERT_TRUE(Run({"modelgen", "small", "--out", model_path}).first.ok());

@@ -2,11 +2,10 @@
 // thread pool, streaming statistics, and table formatting.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
-#include <mutex>
 #include <set>
 #include <stdexcept>
-#include <thread>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -167,14 +166,6 @@ TEST(RngTest, GaussianMomentsApproximatelyStandard) {
   EXPECT_NEAR(stats.stddev(), 1.0, 0.02);
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(9);
-  Rng child = parent.Fork();
-  int same = 0;
-  for (int i = 0; i < 100; ++i) same += (parent.Next() == child.Next());
-  EXPECT_LT(same, 3);
-}
-
 TEST(RngTest, HashSeedSeparatesStreams) {
   EXPECT_NE(HashSeed(1, 0), HashSeed(1, 1));
   EXPECT_NE(HashSeed(1, 0), HashSeed(2, 0));
@@ -279,47 +270,6 @@ TEST(ThreadPoolTest, SingleThreadPoolStillWorks) {
   EXPECT_EQ(sum.load(), 45);
 }
 
-TEST(ThreadPoolTest, GrainBoundsShardSize) {
-  ThreadPool pool(4);
-  std::mutex mu;
-  std::vector<std::size_t> shard_sizes;
-  pool.ParallelFor(100, /*grain=*/40,
-                   [&](std::size_t begin, std::size_t end) {
-                     std::lock_guard<std::mutex> lock(mu);
-                     shard_sizes.push_back(end - begin);
-                   });
-  // grain 40 over 100 items: shards of 40/40/20, never smaller than the
-  // grain except the tail.
-  ASSERT_EQ(shard_sizes.size(), 3u);
-  std::size_t total = 0;
-  for (std::size_t s : shard_sizes) {
-    total += s;
-    EXPECT_LE(s, 40u);
-  }
-  EXPECT_EQ(total, 100u);
-}
-
-TEST(ThreadPoolTest, GrainLargerThanCountRunsOneShard) {
-  ThreadPool pool(4);
-  std::atomic<int> shards{0};
-  std::vector<int> hits(7, 0);
-  pool.ParallelFor(hits.size(), /*grain=*/1000,
-                   [&](std::size_t begin, std::size_t end) {
-                     ++shards;
-                     for (std::size_t i = begin; i < end; ++i) hits[i]++;
-                   });
-  EXPECT_EQ(shards.load(), 1);
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ThreadPoolTest, EmptyRangeWithGrainIsNoop) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.ParallelFor(0, /*grain=*/16,
-                   [&](std::size_t, std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
 TEST(ThreadPoolTest, ParallelForPropagatesWorkerException) {
   // 100 items over 3 workers shard as [0,34) [34,68) [68,100); the middle
   // shard throws.
@@ -371,68 +321,6 @@ TEST(RunningStatsTest, SingleSampleHasZeroVariance) {
   s.Add(3.0);
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
   EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-}
-
-TEST(PercentileTrackerTest, ExactPercentilesOnKnownData) {
-  PercentileTracker t;
-  for (int i = 1; i <= 100; ++i) t.Add(i);
-  EXPECT_NEAR(t.Percentile(0.0), 1.0, 1e-9);
-  EXPECT_NEAR(t.Percentile(1.0), 100.0, 1e-9);
-  EXPECT_NEAR(t.Percentile(0.5), 50.5, 1e-9);
-  EXPECT_NEAR(t.Percentile(0.99), 99.01, 1e-6);
-  EXPECT_DOUBLE_EQ(t.Mean(), 50.5);
-  EXPECT_DOUBLE_EQ(t.Max(), 100.0);
-}
-
-TEST(PercentileTrackerTest, InterleavedAddAndQuery) {
-  PercentileTracker t;
-  t.Add(10.0);
-  EXPECT_DOUBLE_EQ(t.Percentile(0.5), 10.0);
-  t.Add(20.0);
-  EXPECT_DOUBLE_EQ(t.Percentile(1.0), 20.0);
-  t.Add(0.0);
-  EXPECT_DOUBLE_EQ(t.Percentile(0.0), 0.0);
-}
-
-TEST(PercentileTrackerTest, EmptyTrackerAborts) {
-  PercentileTracker t;
-  EXPECT_DEATH(t.Percentile(0.5), "MICROREC_CHECK");
-  EXPECT_DEATH(t.Mean(), "MICROREC_CHECK");
-  EXPECT_DEATH(t.Max(), "MICROREC_CHECK");
-}
-
-TEST(PercentileTrackerTest, OutOfRangeQuantileAborts) {
-  PercentileTracker t;
-  t.Add(1.0);
-  EXPECT_DEATH(t.Percentile(-0.01), "MICROREC_CHECK");
-  EXPECT_DEATH(t.Percentile(1.01), "MICROREC_CHECK");
-}
-
-TEST(PercentileTrackerTest, SingleSampleAnswersEveryQuantile) {
-  PercentileTracker t;
-  t.Add(7.5);
-  EXPECT_DOUBLE_EQ(t.Percentile(0.0), 7.5);
-  EXPECT_DOUBLE_EQ(t.Percentile(0.5), 7.5);
-  EXPECT_DOUBLE_EQ(t.Percentile(1.0), 7.5);
-  EXPECT_DOUBLE_EQ(t.Mean(), 7.5);
-  EXPECT_DOUBLE_EQ(t.Max(), 7.5);
-}
-
-TEST(PercentileTrackerTest, ConcurrentConstReadsAreSafe) {
-  // The lazy sort runs under a mutex, so the first Percentile() call
-  // racing from many threads must produce consistent answers (this is the
-  // scenario the unguarded mutable sort made a data race).
-  PercentileTracker t;
-  for (int i = 100; i >= 1; --i) t.Add(i);
-  std::vector<std::thread> readers;
-  std::vector<double> results(8, 0.0);
-  for (std::size_t k = 0; k < results.size(); ++k) {
-    readers.emplace_back([&t, &results, k] {
-      results[k] = t.Percentile(0.5) + t.Percentile(0.99) + t.Max();
-    });
-  }
-  for (auto& th : readers) th.join();
-  for (const double r : results) EXPECT_DOUBLE_EQ(r, results[0]);
 }
 
 // ---------------------------------------------------------------- TablePrinter

@@ -51,16 +51,6 @@ TEST(HotCacheTest, OccupancyNeverExceedsCapacity) {
   }
 }
 
-TEST(HotCacheTest, ClearDropsEntriesKeepsCounters) {
-  EmbeddingCacheSim cache(1024);
-  cache.Access(0, 1, 64);
-  cache.Access(0, 1, 64);
-  cache.Clear();
-  EXPECT_EQ(cache.stats().bytes_cached, 0u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_FALSE(cache.Access(0, 1, 64));  // re-miss after clear
-}
-
 TEST(HotCacheTest, ZipfTrafficYieldsHighHitRate) {
   // Skewed traffic over a 1M-row table: a cache holding ~1% of rows should
   // capture far more than 1% of accesses.

@@ -11,7 +11,6 @@
 #include <sstream>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "core/microrec.hpp"
 #include "core/system_sim.hpp"
 #include "memsim/hybrid_memory.hpp"
@@ -163,34 +162,6 @@ TEST(HistogramTest, MergeAddsBucketwise) {
   EXPECT_EQ(a.min(), 1.0);
   EXPECT_EQ(a.max(), 100.0);
   EXPECT_EQ(a.sum(), 100.0 * 101.0 / 2.0);
-}
-
-TEST(HistogramTest, SubtractBaselineIsolatesInterval) {
-  Histogram h;
-  for (int i = 0; i < 100; ++i) h.Observe(5.0);
-  Histogram earlier = h;  // snapshot
-  for (int i = 0; i < 50; ++i) h.Observe(7.0);
-  Histogram later = h;
-  later.SubtractBaseline(earlier);
-  EXPECT_EQ(later.count(), 50u);
-  EXPECT_EQ(later.sum(), 50.0 * 7.0);
-}
-
-TEST(MetricsSnapshotTest, DiffSubtractsCountersAndKeepsLaterGauges) {
-  MetricsRegistry registry;
-  obs::Counter& c = registry.counter("events_total");
-  obs::Gauge& g = registry.gauge("depth");
-  c.Inc(5);
-  g.Set(3.0);
-  const obs::MetricsSnapshot earlier = registry.Snapshot();
-  c.Inc(7);
-  g.Set(9.0);
-  const obs::MetricsSnapshot later = registry.Snapshot();
-  const obs::MetricsSnapshot diff = obs::DiffSnapshots(later, earlier);
-  ASSERT_EQ(diff.counters.size(), 1u);
-  EXPECT_EQ(diff.counters[0].value, 7u);
-  ASSERT_EQ(diff.gauges.size(), 1u);
-  EXPECT_EQ(diff.gauges[0].value, 9.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -477,19 +448,44 @@ TEST(TelemetryIdentityTest, MemsimBatchUnchangedByTelemetry) {
 // Shared quantile helpers
 // ---------------------------------------------------------------------------
 
-TEST(QuantilesTest, SortedQuantileMatchesPercentileTrackerExactly) {
+TEST(QuantilesTest, ExactQuantilesOnKnownData) {
+  std::vector<double> sorted;
+  for (int i = 1; i <= 100; ++i) sorted.push_back(i);
+  EXPECT_NEAR(obs::SortedQuantile(sorted, 0.0), 1.0, 1e-9);
+  EXPECT_NEAR(obs::SortedQuantile(sorted, 1.0), 100.0, 1e-9);
+  EXPECT_NEAR(obs::SortedQuantile(sorted, 0.5), 50.5, 1e-9);
+  EXPECT_NEAR(obs::SortedQuantile(sorted, 0.99), 99.01, 1e-6);
+}
+
+TEST(QuantilesTest, QuantileSortsThenInterpolates) {
   std::vector<double> samples;
   for (int i = 0; i < 257; ++i) {
     samples.push_back(std::fmod(static_cast<double>(i) * 37.5, 101.0));
   }
-  PercentileTracker tracker;
-  for (double s : samples) tracker.Add(s);
   std::vector<double> sorted = samples;
   std::sort(sorted.begin(), sorted.end());
   for (double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
-    EXPECT_EQ(obs::SortedQuantile(sorted, q), tracker.Percentile(q)) << q;
+    EXPECT_EQ(obs::Quantile(samples, q), obs::SortedQuantile(sorted, q)) << q;
   }
-  EXPECT_EQ(obs::Quantile(samples, 0.99), tracker.Percentile(0.99));
+}
+
+TEST(QuantilesTest, SingleSampleAnswersEveryQuantile) {
+  const std::vector<double> one = {7.5};
+  EXPECT_EQ(obs::SortedQuantile(one, 0.0), 7.5);
+  EXPECT_EQ(obs::SortedQuantile(one, 0.5), 7.5);
+  EXPECT_EQ(obs::SortedQuantile(one, 1.0), 7.5);
+}
+
+TEST(QuantilesTest, EmptyInputAborts) {
+  const std::vector<double> empty;
+  EXPECT_DEATH(obs::SortedQuantile(empty, 0.5), "MICROREC_CHECK");
+  EXPECT_DEATH(obs::Quantile(empty, 0.5), "MICROREC_CHECK");
+}
+
+TEST(QuantilesTest, OutOfRangeQuantileAborts) {
+  const std::vector<double> one = {1.0};
+  EXPECT_DEATH(obs::SortedQuantile(one, -0.01), "MICROREC_CHECK");
+  EXPECT_DEATH(obs::SortedQuantile(one, 1.01), "MICROREC_CHECK");
 }
 
 TEST(QuantilesTest, ArgQuantileIndexPicksTheRankedElement) {
@@ -540,45 +536,6 @@ TEST(TimeSeriesTest, RingDropsSamplesBehindTheWindow) {
   EXPECT_EQ(series.BucketValue(10), 0.0);
   EXPECT_EQ(series.BucketValue(100), 2.0);
   EXPECT_EQ(series.first_bucket(), 97u);
-}
-
-TEST(TimeSeriesTest, ShardedMergeEqualsSequentialObservation) {
-  // The merge algebra behind deterministic parallel sweeps: observing a
-  // stream sequentially and merging per-shard recorders must serialize to
-  // the same bytes, for both bucket kinds.
-  const obs::TimeSeriesOptions opts{50.0, 64};
-  obs::TimeSeriesRecorder sequential(opts);
-  obs::TimeSeriesRecorder shard_a(opts);
-  obs::TimeSeriesRecorder shard_b(opts);
-  for (int i = 0; i < 200; ++i) {
-    const double t = static_cast<double>(i) * 13.0;
-    const double v = std::fmod(static_cast<double>(i) * 7.0, 29.0);
-    sequential.series("busy", {{"bank", "0"}}).Observe(t, v);
-    sequential
-        .series("depth", {{"bank", "0"}}, obs::SeriesKind::kMax)
-        .Observe(t, v);
-    obs::TimeSeriesRecorder& shard = (i % 2 == 0) ? shard_a : shard_b;
-    shard.series("busy", {{"bank", "0"}}).Observe(t, v);
-    shard.series("depth", {{"bank", "0"}}, obs::SeriesKind::kMax)
-        .Observe(t, v);
-  }
-  shard_a.MergeFrom(shard_b);
-  EXPECT_EQ(shard_a.ToJson(), sequential.ToJson());
-}
-
-TEST(TimeSeriesTest, MergeIntoEmptyRecorderCopies) {
-  const obs::TimeSeriesOptions opts{10.0, 16};
-  obs::TimeSeriesRecorder full(opts);
-  full.series("busy").Observe(35.0, 2.0);
-  obs::TimeSeriesRecorder empty(opts);
-  empty.MergeFrom(full);
-  EXPECT_EQ(empty.ToJson(), full.ToJson());
-}
-
-TEST(TimeSeriesDeathTest, MergeRejectsMismatchedKind) {
-  obs::TimeSeries sum(obs::SeriesKind::kSum);
-  obs::TimeSeries max(obs::SeriesKind::kMax);
-  EXPECT_DEATH(sum.Merge(max), "");
 }
 
 // ---------------------------------------------------------------------------
@@ -1078,29 +1035,6 @@ TEST(EventLogTest, JsonRoundTripIsExact) {
   EXPECT_FALSE(obs::EventLog::FromJson("[]").ok());
 }
 
-TEST(EventLogTest, MergeEqualsSequentialAppend) {
-  obs::EventLog shard_a;
-  shard_a.set_backend_names({"fpga", "cpu"});
-  shard_a.Append(MakeEvent(obs::SchedEventKind::kAdmit, 10.0, 1));
-  shard_a.Append(MakeEvent(obs::SchedEventKind::kServe, 20.0, 1));
-  obs::EventLog shard_b;
-  shard_b.Append(MakeEvent(obs::SchedEventKind::kAdmit, 5.0, 2));
-
-  const obs::EventLog merged = obs::MergeEventLogs({shard_a, shard_b});
-  // The merge documents its capacity as the shards' sum (so it never
-  // evicts); mirror that so ToJson compares byte-for-byte.
-  obs::EventLog sequential(shard_a.capacity() + shard_b.capacity());
-  sequential.set_backend_names({"fpga", "cpu"});
-  for (const obs::EventLog* shard : {&shard_a, &shard_b}) {
-    for (const obs::SchedEvent& e : shard->events()) sequential.Append(e);
-  }
-  EXPECT_EQ(merged.ToJson(), sequential.ToJson());
-  EXPECT_EQ(merged.total_appended(),
-            shard_a.total_appended() + shard_b.total_appended());
-  EXPECT_EQ(merged.dropped(), 0u);
-  EXPECT_EQ(merged.backend_names(), shard_a.backend_names());
-}
-
 TEST(ExplainTest, TimelineReconstructsTerminalAndLatency) {
   const obs::EventLog log = RichLog();
   const obs::QueryTimeline t = obs::BuildQueryTimeline(log, 7);
@@ -1261,11 +1195,9 @@ TEST(ExporterTest, HelpPrecedesTypePrecedesSamples) {
     ++count;
   }
   EXPECT_EQ(count, 1u);
-  // Snapshots carry the help text through diff and merge.
+  // Snapshots carry the help text.
   const obs::MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.help.at("hits_total"), "accesses that hit");
-  const obs::MetricsSnapshot merged = obs::MergeSnapshots({snap, snap});
-  EXPECT_EQ(merged.help.at("hits_total"), "accesses that hit");
 }
 
 }  // namespace
